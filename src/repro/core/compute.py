@@ -8,11 +8,24 @@ schedule this work (scalar loops, vector units, threads, simulated
 devices), never in *what* they compute — tests assert cross-implementation
 agreement against these functions.
 
-Array layout (matching BEAGLE's internal layout):
+Array layout (the host implementations' storage layout):
 
-* partials:  ``(n_categories, n_patterns, n_states)``
+* partials:  ``(n_categories, n_states, n_patterns)`` — patterns
+  innermost, so the pattern axis is the contiguous vector axis.  This is
+  the paper's own mapping: GPU kernels put patterns on threads and the
+  OpenCL-x86 variant loops over states inside each work item.
 * matrices:  ``(n_categories, n_states, n_states)``, row = parent state
+* gap-extended matrices: ``(n_categories, n_states, n_states + 1)``
 * tip states: ``(n_patterns,)`` int32, value ``n_states`` = gap/unknown
+
+The ``beagle_*`` surface (``set_partials``, ``set_tip_partials``,
+``get_partials``) and the accelerated backends' device pools and kernel
+IR keep BEAGLE's ``(n_categories, n_patterns, n_states)`` order; the
+implementations transpose only at those boundaries.
+
+The partials kernels write straight into ``out`` and use one
+``scratch`` array of the same shape for the second child's term, so a
+caller that owns both buffers allocates nothing per operation.
 """
 
 from __future__ import annotations
@@ -43,18 +56,16 @@ def matrices_from_eigen(
 
     Computes ``P = V diag(exp(lambda * t * r_c)) V^{-1}`` and clamps tiny
     negative round-off to zero.  Returns shape
-    ``(n_branches, n_categories, s, s)``.
+    ``(n_branches, n_categories, s, s)``.  Each matrix is one GEMM of its
+    own, so a branch gets the same bits whether it is computed alone or
+    in a batch.
     """
     branch_lengths = np.asarray(branch_lengths, dtype=np.float64)
     category_rates = np.asarray(category_rates, dtype=np.float64)
     scaled = np.multiply.outer(branch_lengths, category_rates)  # (b, c)
     expd = np.exp(np.multiply.outer(scaled, eigenvalues))  # (b, c, s)
-    p = np.einsum(
-        "ij,bcj,jk->bcik",
-        eigenvectors,
-        expd,
-        inverse_eigenvectors,
-        optimize=True,
+    p = np.matmul(
+        eigenvectors * expd[..., np.newaxis, :], inverse_eigenvectors
     )
     p = np.clip(p.real if np.iscomplexobj(p) else p, 0.0, None)
     return np.ascontiguousarray(p, dtype=dtype)
@@ -76,7 +87,8 @@ def derivative_matrices_from_eigen(
     ``(r Q)^order P`` without ever forming ``Q``.  Unlike
     :func:`matrices_from_eigen` the result is *not* clamped: derivative
     entries are legitimately negative.  Returns shape
-    ``(n_branches, n_categories, s, s)``.
+    ``(n_branches, n_categories, s, s)``, batch-invariant like
+    :func:`matrices_from_eigen`.
     """
     if order < 1:
         raise ValueError(f"derivative order must be >= 1, got {order}")
@@ -86,12 +98,8 @@ def derivative_matrices_from_eigen(
     exponent = np.multiply.outer(scaled, eigenvalues)  # (b, c, s)
     rate_eig = np.multiply.outer(category_rates, eigenvalues)  # (c, s)
     diag = (rate_eig**order)[np.newaxis] * np.exp(exponent)
-    d = np.einsum(
-        "ij,bcj,jk->bcik",
-        eigenvectors,
-        diag,
-        inverse_eigenvectors,
-        optimize=True,
+    d = np.matmul(
+        eigenvectors * diag[..., np.newaxis, :], inverse_eigenvectors
     )
     d = d.real if np.iscomplexobj(d) else d
     return np.ascontiguousarray(d, dtype=dtype)
@@ -112,26 +120,55 @@ def extend_matrices_for_gaps(matrices: np.ndarray) -> np.ndarray:
 # Partial-likelihood update kernels (vectorised reference forms)
 # ---------------------------------------------------------------------------
 
+def _buffers(
+    shape: Tuple[int, ...],
+    dtype: np.dtype,
+    out: Optional[np.ndarray],
+    scratch: Optional[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``out`` and ``scratch``, allocating whichever the caller left out."""
+    if out is None:
+        out = np.empty(shape, dtype=dtype)
+    if scratch is None:
+        scratch = np.empty_like(out)
+    return out, scratch
+
+
+def _gather_states(
+    matrices_ext: np.ndarray, states: np.ndarray, out: np.ndarray
+) -> None:
+    """``out[c, i, p] = matrices_ext[c, i, states[p]]`` (tip-state lift).
+
+    ``mode="clip"`` lets NumPy write a contiguous ``out`` directly; the
+    codes were range-checked when the tip was set.
+    """
+    np.take(matrices_ext, states, axis=2, out=out, mode="clip")
+
+
 def update_partials_pp(
     partials1: np.ndarray,
     matrices1: np.ndarray,
     partials2: np.ndarray,
     matrices2: np.ndarray,
     out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """partials x partials operation (both children internal/ambiguous).
 
-    ``out[c, p, i] = (sum_j M1[c,i,j] L1[c,p,j]) * (sum_j M2[c,i,j] L2[c,p,j])``
+    ``out[c, i, p] = (sum_j M1[c,i,j] L1[c,j,p]) * (sum_j M2[c,i,j] L2[c,j,p])``
 
-    Implemented as two batched GEMMs, which both vectorises across the
-    state dimension and releases the GIL inside BLAS — the property the
-    threaded implementations rely on.
+    Implemented as two batched GEMMs ``M @ L``, which vectorise across
+    the pattern axis and release the GIL inside BLAS — the property the
+    threaded implementations rely on.  Child 2's term is formed in
+    ``scratch`` before ``out`` is written, so ``out`` may alias either
+    child's partials.
     """
-    a = np.matmul(partials1, matrices1.swapaxes(-1, -2))
-    b = np.matmul(partials2, matrices2.swapaxes(-1, -2))
-    if out is None:
-        return a * b
-    np.multiply(a, b, out=out)
+    out, scratch = _buffers(
+        partials1.shape, np.result_type(partials1, matrices1), out, scratch
+    )
+    np.matmul(matrices2, partials2, out=scratch)
+    np.matmul(matrices1, partials1, out=out)
+    np.multiply(out, scratch, out=out)
     return out
 
 
@@ -141,18 +178,21 @@ def update_partials_sp(
     partials2: np.ndarray,
     matrices2: np.ndarray,
     out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """states x partials operation (child 1 is a compact tip buffer).
 
     ``matrices1_ext`` must already carry the gap column
     (:func:`extend_matrices_for_gaps`), so a state code of ``s`` selects
-    the all-ones column.
+    the all-ones column.  Child 2's term is formed in ``scratch`` first,
+    so ``out`` may alias ``partials2``.
     """
-    a = matrices1_ext[..., states1].swapaxes(-1, -2)  # (c, p, s)
-    b = np.matmul(partials2, matrices2.swapaxes(-1, -2))
-    if out is None:
-        return a * b
-    np.multiply(a, b, out=out)
+    out, scratch = _buffers(
+        partials2.shape, np.result_type(partials2, matrices2), out, scratch
+    )
+    np.matmul(matrices2, partials2, out=scratch)
+    _gather_states(matrices1_ext, states1, out)
+    np.multiply(out, scratch, out=out)
     return out
 
 
@@ -162,13 +202,14 @@ def update_partials_ss(
     states2: np.ndarray,
     matrices2_ext: np.ndarray,
     out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """states x states operation (both children are compact tip buffers)."""
-    a = matrices1_ext[..., states1].swapaxes(-1, -2)
-    b = matrices2_ext[..., states2].swapaxes(-1, -2)
-    if out is None:
-        return a * b
-    np.multiply(a, b, out=out)
+    shape = matrices1_ext.shape[:-1] + states1.shape
+    out, scratch = _buffers(shape, matrices1_ext.dtype, out, scratch)
+    _gather_states(matrices1_ext, states1, out)
+    _gather_states(matrices2_ext, states2, scratch)
+    np.multiply(out, scratch, out=out)
     return out
 
 
@@ -177,12 +218,13 @@ def rescale_partials(
     epsilon: float = 0.0,
     threshold: float = np.inf,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Divide out the per-pattern maximum to prevent underflow.
+    """Divide out the per-pattern maximum, in place, to prevent underflow.
 
-    Returns ``(rescaled_partials, log_scale_factors)`` where the factors
-    have shape ``(n_patterns,)``.  Patterns whose maximum is zero (an
-    impossible site) keep factor ``0`` so the zero propagates to the root,
-    where the log-likelihood correctly becomes ``-inf``.
+    Returns ``(partials, log_scale_factors)``: the first item is the
+    argument itself, now rescaled, and the factors have shape
+    ``(n_patterns,)``.  Patterns whose maximum is zero (an impossible
+    site) keep factor ``0`` so the zero propagates to the root, where the
+    log-likelihood correctly becomes ``-inf``.
 
     ``threshold`` implements *dynamic* scaling
     (``BEAGLE_FLAG_SCALING_DYNAMIC``): only patterns whose maximum has
@@ -190,12 +232,32 @@ def rescale_partials(
     (log factor zero), saving the division and keeping the accumulation
     semantics unchanged.  The default (infinity) rescales every pattern.
     """
-    maxima = partials.max(axis=(0, 2))  # (p,)
+    maxima = partials.max(axis=(0, 1))  # (p,)
     needs = (maxima > epsilon) & (maxima < threshold)
     safe = np.where(needs, maxima, 1.0)
-    rescaled = partials / safe[np.newaxis, :, np.newaxis]
-    log_factors = np.log(safe)
-    return rescaled, log_factors
+    partials /= safe
+    return partials, np.log(safe)
+
+
+def _site_sums(
+    partials: np.ndarray,
+    category_weights: np.ndarray,
+    state_frequencies: np.ndarray,
+) -> np.ndarray:
+    """``site[p] = sum_c w_c sum_i pi_i partials[c, i, p]``."""
+    return np.matmul(category_weights, np.matmul(state_frequencies, partials))
+
+
+def _log_likelihoods(
+    site_lik: np.ndarray,
+    pattern_weights: np.ndarray,
+    cumulative_scale_log: Optional[np.ndarray],
+) -> Tuple[float, np.ndarray]:
+    with np.errstate(divide="ignore"):
+        log_site = np.log(site_lik)
+    if cumulative_scale_log is not None:
+        log_site = log_site + cumulative_scale_log
+    return float(np.dot(pattern_weights, log_site)), log_site
 
 
 def root_log_likelihood(
@@ -207,20 +269,26 @@ def root_log_likelihood(
 ) -> Tuple[float, np.ndarray]:
     """Integrate root partials into the total log-likelihood.
 
-    ``site_lik[p] = sum_c w_c sum_i pi_i L_root[c, p, i]``;
+    ``site_lik[p] = sum_c w_c sum_i pi_i L_root[c, i, p]``;
     ``logL = sum_p weight_p (log site_lik[p] + scale[p])``.
 
     Returns ``(log_likelihood, per_pattern_log_likelihoods)``.
     """
-    site_lik = np.einsum(
-        "c,cpi,i->p", category_weights, root_partials, state_frequencies,
-        optimize=True,
-    )
-    with np.errstate(divide="ignore"):
-        log_site = np.log(site_lik)
-    if cumulative_scale_log is not None:
-        log_site = log_site + cumulative_scale_log
-    return float(np.dot(pattern_weights, log_site)), log_site
+    site_lik = _site_sums(root_partials, category_weights, state_frequencies)
+    return _log_likelihoods(site_lik, pattern_weights, cumulative_scale_log)
+
+
+def _edge_site_values(
+    parent_partials: np.ndarray,
+    child_partials: np.ndarray,
+    edge_matrices: np.ndarray,
+    category_weights: np.ndarray,
+    state_frequencies: np.ndarray,
+) -> np.ndarray:
+    """``sum_c w_c sum_i pi_i parent[c,i,p] sum_j P[c,i,j] child[c,j,p]``."""
+    lifted = np.matmul(edge_matrices, child_partials)
+    lifted *= parent_partials
+    return _site_sums(lifted, category_weights, state_frequencies)
 
 
 def edge_log_likelihood(
@@ -234,26 +302,18 @@ def edge_log_likelihood(
 ) -> Tuple[float, np.ndarray]:
     """Likelihood integrated over a branch (``calculateEdgeLogLikelihoods``).
 
-    ``site_lik[p] = sum_c w_c sum_i pi_i parent[c,p,i]
-    sum_j P[c,i,j] child[c,p,j]``.
+    ``site_lik[p] = sum_c w_c sum_i pi_i parent[c,i,p]
+    sum_j P[c,i,j] child[c,j,p]``.
 
     For a reversible model this equals the root likelihood of the tree
     rooted anywhere along that edge (the "pulley principle"), which the
     property-based tests exploit.
     """
-    lifted = np.matmul(child_partials, edge_matrices.swapaxes(-1, -2))
-    site_lik = np.einsum(
-        "c,cpi,i->p",
-        category_weights,
-        parent_partials * lifted,
-        state_frequencies,
-        optimize=True,
+    site_lik = _edge_site_values(
+        parent_partials, child_partials, edge_matrices,
+        category_weights, state_frequencies,
     )
-    with np.errstate(divide="ignore"):
-        log_site = np.log(site_lik)
-    if cumulative_scale_log is not None:
-        log_site = log_site + cumulative_scale_log
-    return float(np.dot(pattern_weights, log_site)), log_site
+    return _log_likelihoods(site_lik, pattern_weights, cumulative_scale_log)
 
 
 def edge_derivatives(
@@ -273,20 +333,13 @@ def edge_derivatives(
     derivatives follow from differentiating the per-site likelihood and
     the chain rule for the log.
     """
-
-    def site_values(mats: np.ndarray) -> np.ndarray:
-        lifted = np.matmul(child_partials, mats.swapaxes(-1, -2))
-        return np.einsum(
-            "c,cpi,i->p",
-            category_weights,
-            parent_partials * lifted,
-            state_frequencies,
-            optimize=True,
+    f, f1, f2 = (
+        _edge_site_values(
+            parent_partials, child_partials, mats,
+            category_weights, state_frequencies,
         )
-
-    f = site_values(edge_matrices)
-    f1 = site_values(d1_matrices)
-    f2 = site_values(d2_matrices)
+        for mats in (edge_matrices, d1_matrices, d2_matrices)
+    )
     with np.errstate(divide="ignore", invalid="ignore"):
         log_site = np.log(f)
         g1 = f1 / f

@@ -214,19 +214,22 @@ class AcceleratedImplementation(BaseImplementation):
             self._d_tip_states[tip_index], self._tip_states[tip_index]
         )
 
+    # The host stages partials patterns-innermost, (c, s, p); the device
+    # pool keeps the kernel IR's (c, p, s), so uploads transpose here.
+
     def set_tip_partials(self, tip_index: int, partials: np.ndarray) -> None:
         super().set_tip_partials(tip_index, partials)
         self._d_tip_states.pop(tip_index, None)
         self.interface.upload(
             self.interface.slot(self._d_partials, tip_index),
-            self._partials[tip_index],
+            self._partials[tip_index].swapaxes(1, 2),
         )
 
     def set_partials(self, index: int, partials: np.ndarray) -> None:
         super().set_partials(index, partials)
         self.interface.upload(
             self.interface.slot(self._d_partials, index),
-            self._partials[index],
+            self._partials[index].swapaxes(1, 2),
         )
 
     def get_partials(self, index: int) -> np.ndarray:
@@ -247,7 +250,7 @@ class AcceleratedImplementation(BaseImplementation):
         )
         self.interface.upload(
             self.interface.slot(self._d_matrices_ext, index),
-            compute.extend_matrices_for_gaps(self._matrices[index]),
+            self._matrices_ext[index],
         )
 
     def get_transition_matrix(self, index: int) -> np.ndarray:
@@ -287,7 +290,7 @@ class AcceleratedImplementation(BaseImplementation):
             )
             self.interface.upload(
                 self.interface.slot(self._d_matrices_ext, idx),
-                compute.extend_matrices_for_gaps(out[pos]),
+                self._matrices_ext[idx],
             )
 
     def _compute_derivative_matrices(
@@ -445,7 +448,7 @@ class AcceleratedImplementation(BaseImplementation):
         )
         self.interface.upload(
             self.interface.slot(self._d_matrices_ext, index),
-            compute.extend_matrices_for_gaps(matrices),
+            self._matrices_ext[index],
         )
 
     def accumulate_scale_factors(self, scale_indices, cumulative_index) -> None:
@@ -612,8 +615,8 @@ class AcceleratedImplementation(BaseImplementation):
             batch.append((
                 "kernelEdgeDerivatives",
                 [site_ll[e], site_d1[e], site_d2[e],
-                 self._dense_partials(parent_indices[e]),
-                 self._dense_partials(child_indices[e]),
+                 self._dense_partials(parent_indices[e]).swapaxes(1, 2),
+                 self._dense_partials(child_indices[e]).swapaxes(1, 2),
                  p_mats[e], d1_mats[e], d2_mats[e],
                  category_weights, state_frequencies,
                  self._pattern_weights, cumulative_scale_log],
@@ -660,11 +663,12 @@ class AcceleratedImplementation(BaseImplementation):
         )
 
     def _dense_partials(self, index: int) -> np.ndarray:
+        """Host-layout ``(c, s, p)`` view; device buffers are transposed."""
         if index in self._tip_states:
             return super()._dense_partials(index)
         return self.interface.view(
             self.interface.slot(self._d_partials, index)
-        )
+        ).swapaxes(1, 2)
 
     def finalize(self) -> None:
         self.interface.finalize()

@@ -134,17 +134,27 @@ class BaseImplementation(abc.ABC):
         # Compact (tip-state) and full partials buffers share one index
         # space of size total_buffer_count, as in the C library; slots
         # shadowed by compact buffers stay zero until/unless a client
-        # replaces the compact representation with partials.
+        # replaces the compact representation with partials.  Storage is
+        # patterns-innermost, (category, state, pattern); the beagle_*
+        # boundary transposes to and from (category, pattern, state).
         self._partials = np.zeros(
-            (c.total_buffer_count, c.category_count, c.pattern_count, c.state_count),
+            (c.total_buffer_count, c.category_count, c.state_count, c.pattern_count),
             dtype=self.dtype,
         )
         #: Compact tip buffers: index -> int32 state codes (gap = s).
         self._tip_states: Dict[int, np.ndarray] = {}
-        self._matrices = np.zeros(
-            (c.matrix_buffer_count, c.category_count, c.state_count, c.state_count),
+        #: Matrix buffers with an all-ones gap column appended, which the
+        #: gap state code ``s`` selects.  ``_matrices`` is a view of the
+        #: first ``s`` columns, so writing a matrix also updates its
+        #: gap-extended form: it is built once per matrix update, never
+        #: once per operation.
+        self._matrices_ext = np.zeros(
+            (c.matrix_buffer_count, c.category_count, c.state_count,
+             c.state_count + 1),
             dtype=self.dtype,
         )
+        self._matrices_ext[..., -1] = 1.0
+        self._matrices = self._matrices_ext[..., :-1]
         self._eigen: List[Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = [
             None
         ] * c.eigen_buffer_count
@@ -269,7 +279,8 @@ class BaseImplementation(abc.ABC):
     def set_tip_partials(self, tip_index: int, partials: np.ndarray) -> None:
         """Store per-state partials for a tip (supports partial ambiguity).
 
-        Accepts ``(patterns, states)`` and broadcasts across categories.
+        Accepts ``(patterns, states)`` and broadcasts across categories,
+        or ``(categories, patterns, states)``.
         """
         if not 0 <= tip_index < self.config.tip_count:
             raise InvalidIndexError(f"tip index {tip_index} out of range")
@@ -282,27 +293,28 @@ class BaseImplementation(abc.ABC):
         if partials.shape != (c.category_count, c.pattern_count, c.state_count):
             raise ValueError(f"tip partials shape {partials.shape} invalid")
         self._tip_states.pop(tip_index, None)
-        self._partials[tip_index] = partials
+        self._partials[tip_index] = partials.swapaxes(1, 2)
         self._written_partials.add(tip_index)
 
     def set_partials(self, index: int, partials: np.ndarray) -> None:
-        """Directly set any partials buffer (mainly used by tests)."""
+        """Directly set any partials buffer from ``(c, p, s)`` values."""
         self._check_buffer(index)
         partials = np.asarray(partials, dtype=self.dtype)
         c = self.config
         if partials.shape != (c.category_count, c.pattern_count, c.state_count):
             raise ValueError(f"partials shape {partials.shape} invalid")
         self._tip_states.pop(index, None)
-        self._partials[index] = partials
+        self._partials[index] = partials.swapaxes(1, 2)
         self._written_partials.add(index)
 
     def get_partials(self, index: int) -> np.ndarray:
+        """A ``(c, p, s)`` copy of one partials buffer."""
         self._check_buffer(index)
         if index in self._tip_states:
             raise UnsupportedOperationError(
                 f"buffer {index} is a compact tip-state buffer"
             )
-        return np.array(self._partials[index])
+        return self._partials[index].swapaxes(1, 2).copy()
 
     def set_eigen_decomposition(
         self,
@@ -996,17 +1008,22 @@ class BaseImplementation(abc.ABC):
         return self._scale_factors[index]
 
     def _dense_partials(self, index: int) -> np.ndarray:
-        """View any buffer as dense partials (expanding compact tips)."""
+        """View any buffer as dense ``(c, s, p)`` partials.
+
+        A compact tip expands to one row per pattern of the gap-extended
+        identity: one-hot for a known state, all ones for a gap.  The
+        view is the transpose of those ``(p, s)`` rows, so swapping its
+        last two axes gives the ``(c, p, s)`` layout without a copy.
+        """
         if index not in self._tip_states:
             return self._partials[index]
         c = self.config
-        states = self._tip_states[index]
-        dense = np.zeros((c.pattern_count, c.state_count), dtype=self.dtype)
-        known = states < c.state_count
-        dense[np.arange(c.pattern_count)[known], states[known]] = 1.0
-        dense[~known, :] = 1.0
+        lift = compute.extend_matrices_for_gaps(
+            np.eye(c.state_count, dtype=self.dtype)
+        )
+        rows = lift.T[self._tip_states[index]]
         return np.broadcast_to(
-            dense, (c.category_count,) + dense.shape
+            rows.T, (c.category_count, c.state_count, c.pattern_count)
         )
 
     @property
@@ -1015,18 +1032,16 @@ class BaseImplementation(abc.ABC):
             return self.DYNAMIC_SCALING_THRESHOLDS[self.precision]
         return np.inf
 
-    def _apply_scaling(self, op: Operation, dest: np.ndarray) -> np.ndarray:
-        """Post-process one operation's output for the scaling workflow."""
+    def _apply_scaling(self, op: Operation) -> None:
+        """Apply one operation's scaling to its destination, in place."""
+        dest = self._partials[op.destination]
         if op.read_scale != OP_NONE:
-            dest = dest * np.exp(self._scale_factors[op.read_scale])[
-                np.newaxis, :, np.newaxis
-            ]
+            dest *= np.exp(self._scale_factors[op.read_scale])
         if op.write_scale != OP_NONE:
-            dest, log_factors = compute.rescale_partials(
+            _, log_factors = compute.rescale_partials(
                 dest, threshold=self._scaling_threshold
             )
             self._scale_factors[op.write_scale] = log_factors
-        return dest
 
     # -- compute hooks (overridden per backend) --------------------------------
 
@@ -1062,7 +1077,11 @@ class BaseImplementation(abc.ABC):
 
     @abc.abstractmethod
     def _compute_operation(self, op: Operation) -> None:
-        """Compute one partials update into ``self._partials[op.destination]``."""
+        """Compute one partials update into ``self._partials[op.destination]``.
+
+        Host backends write the destination in place, without per-op
+        temporaries.
+        """
 
     def _compute_root(
         self,

@@ -14,7 +14,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core import compute
 from repro.core.flags import Flag
 from repro.core.types import Operation
 from repro.impl.base import BaseImplementation
@@ -41,27 +40,27 @@ class CPUSerialImplementation(BaseImplementation):
         c = self.config
         m1 = self._matrices[op.child1_matrix]
         m2 = self._matrices[op.child2_matrix]
+        m1_ext = self._matrices_ext[op.child1_matrix]
+        m2_ext = self._matrices_ext[op.child2_matrix]
         child1_states = self._tip_states.get(op.child1)
         child2_states = self._tip_states.get(op.child2)
         l1 = None if child1_states is not None else self._partials[op.child1]
         l2 = None if child2_states is not None else self._partials[op.child2]
-        m1_ext = compute.extend_matrices_for_gaps(m1)
-        m2_ext = compute.extend_matrices_for_gaps(m2)
-        dest = np.empty_like(self._partials[op.destination])
+        dest = self._partials[op.destination]
 
         for p in range(c.pattern_count):
             for cat in range(c.category_count):
                 if child1_states is not None:
                     a = m1_ext[cat][:, child1_states[p]]
                 else:
-                    a = m1[cat] @ l1[cat, p]
+                    a = m1[cat] @ l1[cat, :, p]
                 if child2_states is not None:
                     b = m2_ext[cat][:, child2_states[p]]
                 else:
-                    b = m2[cat] @ l2[cat, p]
-                dest[cat, p] = a * b
+                    b = m2[cat] @ l2[cat, :, p]
+                dest[cat, :, p] = a * b
 
-        self._partials[op.destination] = self._apply_scaling(op, dest)
+        self._apply_scaling(op)
 
     def _compute_root(
         self,
@@ -76,7 +75,7 @@ class CPUSerialImplementation(BaseImplementation):
             site = 0.0
             for cat in range(c.category_count):
                 site += category_weights[cat] * float(
-                    state_frequencies @ root_partials[cat, p]
+                    state_frequencies @ root_partials[cat, :, p]
                 )
             with np.errstate(divide="ignore"):
                 log_site[p] = np.log(site)

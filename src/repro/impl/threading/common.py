@@ -65,10 +65,7 @@ def apply_level_scaling(impl, operations: Sequence[Operation]) -> None:
     afterwards, exactly reproducing the eager per-operation ordering.
     """
     for op in operations:
-        if op.write_scale != OP_NONE or op.read_scale != OP_NONE:
-            impl._partials[op.destination] = impl._apply_scaling(
-                op, impl._partials[op.destination]
-            )
+        impl._apply_scaling(op)
 
 
 def dependency_levels(operations: Sequence[Operation]) -> List[List[Operation]]:

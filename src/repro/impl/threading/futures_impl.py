@@ -19,14 +19,18 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor, wait
 from typing import List, Optional
 
+import numpy as np
+
 from repro.core.flags import Flag
 from repro.core.types import Operation
-from repro.impl.base import BaseImplementation
-from repro.impl.cpu_sse import compute_operation_slice
+from repro.impl.cpu_sse import (
+    VectorCPUImplementation,
+    compute_operation_slice,
+)
 from repro.impl.threading.common import default_thread_count, dependency_levels
 
 
-class CPUFuturesImplementation(BaseImplementation):
+class CPUFuturesImplementation(VectorCPUImplementation):
     """One asynchronous task per topology-independent operation."""
 
     name = "CPU-threaded-futures"
@@ -49,15 +53,19 @@ class CPUFuturesImplementation(BaseImplementation):
         super().__init__(config, precision, scaling_mode)
         self.thread_count = thread_count or default_thread_count()
 
-    def _compute_operation(self, op: Operation) -> None:
-        dest = compute_operation_slice(self, op, slice(None))
-        self._partials[op.destination] = self._apply_scaling(op, dest)
+    def _compute_concurrent(self, op: Operation) -> None:
+        """One future's operation: whole operations run side by side here,
+        so each takes a private scratch rather than the instance's."""
+        compute_operation_slice(
+            self, op, slice(None), np.empty_like(self._scratch)
+        )
+        self._apply_scaling(op)
 
     def _submit_level(self, pool: ThreadPoolExecutor,
                       operations: List[Operation]) -> None:
         """Fan one independent operation set across futures and join it."""
         futures = [
-            pool.submit(self._compute_operation, op) for op in operations
+            pool.submit(self._compute_concurrent, op) for op in operations
         ]
         # Gated on the metrics registry, not the tracer: metrics-only
         # instrumentation (tracing off) must still see the counter.

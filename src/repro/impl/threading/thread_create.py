@@ -24,8 +24,10 @@ from typing import List, Optional
 
 from repro.core.flags import Flag
 from repro.core.types import Operation
-from repro.impl.base import BaseImplementation
-from repro.impl.cpu_sse import compute_operation_slice
+from repro.impl.cpu_sse import (
+    VectorCPUImplementation,
+    compute_operation_slice,
+)
 from repro.impl.threading.common import (
     MIN_PATTERNS_FOR_THREADING,
     apply_level_scaling,
@@ -35,7 +37,7 @@ from repro.impl.threading.common import (
 )
 
 
-class CPUThreadCreateImplementation(BaseImplementation):
+class CPUThreadCreateImplementation(VectorCPUImplementation):
     """Per-call thread spawn, pattern-parallel."""
 
     name = "CPU-threaded-create"
@@ -57,11 +59,6 @@ class CPUThreadCreateImplementation(BaseImplementation):
                  scaling_mode: str = "always"):
         super().__init__(config, precision, scaling_mode)
         self.thread_count = thread_count or default_thread_count()
-
-    # Serial fallback for small problems and for single operations.
-    def _compute_operation(self, op: Operation) -> None:
-        dest = compute_operation_slice(self, op, slice(None))
-        self._partials[op.destination] = self._apply_scaling(op, dest)
 
     def _run_in_fresh_threads(self, worker, n_workers: int, slices) -> None:
         errors: List[BaseException] = []
@@ -110,20 +107,14 @@ class CPUThreadCreateImplementation(BaseImplementation):
             # operation: barrier per op, parallel within it.
             for op in operations:
                 def worker(sl, op=op):
-                    self._partials[op.destination][:, sl] = (
-                        compute_operation_slice(self, op, sl)
-                    )
+                    compute_operation_slice(self, op, sl)
                 self._run_in_fresh_threads(worker, len(slices), slices)
-                self._partials[op.destination] = self._apply_scaling(
-                    op, self._partials[op.destination]
-                )
+                self._apply_scaling(op)
             return
 
         def worker(sl):
             for op in operations:
-                self._partials[op.destination][:, sl] = (
-                    compute_operation_slice(self, op, sl)
-                )
+                compute_operation_slice(self, op, sl)
 
         self._run_in_fresh_threads(worker, len(slices), slices)
 
@@ -146,9 +137,7 @@ class CPUThreadCreateImplementation(BaseImplementation):
 
         def worker(sl):
             for op in operations:
-                self._partials[op.destination][:, sl] = (
-                    compute_operation_slice(self, op, sl)
-                )
+                compute_operation_slice(self, op, sl)
 
         self._run_in_fresh_threads(worker, len(slices), slices)
         apply_level_scaling(self, operations)

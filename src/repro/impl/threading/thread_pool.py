@@ -27,8 +27,10 @@ import numpy as np
 from repro.core import compute
 from repro.core.flags import Flag
 from repro.core.types import Operation
-from repro.impl.base import BaseImplementation
-from repro.impl.cpu_sse import compute_operation_slice
+from repro.impl.cpu_sse import (
+    VectorCPUImplementation,
+    compute_operation_slice,
+)
 from repro.impl.threading.common import (
     MIN_PATTERNS_FOR_THREADING,
     apply_level_scaling,
@@ -38,7 +40,7 @@ from repro.impl.threading.common import (
 )
 
 
-class CPUThreadPoolImplementation(BaseImplementation):
+class CPUThreadPoolImplementation(VectorCPUImplementation):
     """Persistent-pool, pattern-parallel partials and root reduction."""
 
     name = "CPU-threaded-pool"
@@ -96,10 +98,6 @@ class CPUThreadPoolImplementation(BaseImplementation):
             metrics.gauge("threadpool.queue_depth").set(depth)
             metrics.counter("threadpool.tasks").inc(depth)
 
-    def _compute_operation(self, op: Operation) -> None:
-        dest = compute_operation_slice(self, op, slice(None))
-        self._partials[op.destination] = self._apply_scaling(op, dest)
-
     def _execute_operations(self, operations: List[Operation]) -> None:
         if not self._threading_active:
             for op in operations:
@@ -110,20 +108,14 @@ class CPUThreadPoolImplementation(BaseImplementation):
         if operations_use_scaling(operations):
             for op in operations:
                 def worker(sl, op=op):
-                    self._partials[op.destination][:, sl] = (
-                        compute_operation_slice(self, op, sl)
-                    )
+                    compute_operation_slice(self, op, sl)
                 self._map_slices(worker, slices)
-                self._partials[op.destination] = self._apply_scaling(
-                    op, self._partials[op.destination]
-                )
+                self._apply_scaling(op)
             return
 
         def worker(sl):
             for op in operations:
-                self._partials[op.destination][:, sl] = (
-                    compute_operation_slice(self, op, sl)
-                )
+                compute_operation_slice(self, op, sl)
 
         tracer = self._tracer
         if not tracer.enabled:
@@ -136,29 +128,25 @@ class CPUThreadPoolImplementation(BaseImplementation):
             self._map_slices(worker, slices)
 
     def _execute_level(self, operations: List[Operation]) -> None:
-        """Fan a whole plan level across the pool: op × pattern-slice.
+        """Fan a whole plan level across the pool in one wave.
 
-        This is the paper's futures + thread-pool hybrid — tree-level
-        concurrency (the level's operations are mutually independent)
-        multiplied by pattern-level concurrency (each operation split
-        into slices), all submitted as one wave with a single join.
+        The level's operations are mutually independent, so each
+        pattern-slice task streams its slice through every operation of
+        the level with no barrier, and the wave has a single join.  Tasks
+        are per slice, not per (operation, slice) pair: a slice task owns
+        its slice of the instance scratch buffer.
         """
         if not self._threading_active or len(operations) == 1:
             self._execute_operations(list(operations))
             return
         slices = pattern_slices(self.config.pattern_count, self.thread_count)
 
-        def worker(op, sl):
-            self._partials[op.destination][:, sl] = (
+        def worker(sl):
+            for op in operations:
                 compute_operation_slice(self, op, sl)
-            )
 
         def submit_wave():
-            futures = [
-                self.pool.submit(worker, op, sl)
-                for op in operations
-                for sl in slices
-            ]
+            futures = [self.pool.submit(worker, sl) for sl in slices]
             for f in futures:
                 f.result()
             return len(futures)
@@ -198,7 +186,7 @@ class CPUThreadPoolImplementation(BaseImplementation):
                 None if cumulative_scale_log is None else cumulative_scale_log[sl]
             )
             _, per_pattern = compute.root_log_likelihood(
-                root_partials[:, sl],
+                root_partials[:, :, sl],
                 category_weights,
                 state_frequencies,
                 self._pattern_weights[sl],

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from repro.core import compute
-from repro.model import HKY85, JC69
+from repro.model import GY94, HKY85, JC69, SiteModel
 
 
 def _random_partials(rng, cats=2, patterns=7, states=4):
@@ -23,7 +23,9 @@ class TestPartialsKernels:
         model = HKY85(2.0, [0.3, 0.2, 0.2, 0.3])
         l1, l2 = _random_partials(rng), _random_partials(rng)
         m1, m2 = _matrices(model, rng), _matrices(model, rng)
-        got = compute.update_partials_pp(l1, m1, l2, m2)
+        got = compute.update_partials_pp(
+            l1.swapaxes(1, 2), m1, l2.swapaxes(1, 2), m2
+        ).swapaxes(1, 2)
         want = np.zeros_like(got)
         for c in range(2):
             for p in range(7):
@@ -42,9 +44,11 @@ class TestPartialsKernels:
         l2 = _random_partials(rng)
         m1, m2 = _matrices(model, rng), _matrices(model, rng)
         via_states = compute.update_partials_sp(
-            states, compute.extend_matrices_for_gaps(m1), l2, m2
-        )
-        via_partials = compute.update_partials_pp(indicator, m1, l2, m2)
+            states, compute.extend_matrices_for_gaps(m1), l2.swapaxes(1, 2), m2
+        ).swapaxes(1, 2)
+        via_partials = compute.update_partials_pp(
+            indicator.swapaxes(1, 2), m1, l2.swapaxes(1, 2), m2
+        ).swapaxes(1, 2)
         assert np.allclose(via_states, via_partials)
 
     def test_gap_state_contributes_ones(self):
@@ -54,8 +58,8 @@ class TestPartialsKernels:
         l2 = _random_partials(rng, patterns=5)
         m1, m2 = _matrices(model, rng), _matrices(model, rng)
         got = compute.update_partials_sp(
-            states, compute.extend_matrices_for_gaps(m1), l2, m2
-        )
+            states, compute.extend_matrices_for_gaps(m1), l2.swapaxes(1, 2), m2
+        ).swapaxes(1, 2)
         only_child2 = np.matmul(l2, m2.swapaxes(-1, -2))
         assert np.allclose(got, only_child2)
 
@@ -67,13 +71,15 @@ class TestPartialsKernels:
         m1, m2 = _matrices(model, rng), _matrices(model, rng)
         m1e = compute.extend_matrices_for_gaps(m1)
         m2e = compute.extend_matrices_for_gaps(m2)
-        got = compute.update_partials_ss(s1, m1e, s2, m2e)
+        got = compute.update_partials_ss(s1, m1e, s2, m2e).swapaxes(1, 2)
         indicator2 = np.ones((2, 6, 4))
         for p, s in enumerate(s2):
             if s < 4:
                 indicator2[:, p, :] = 0.0
                 indicator2[:, p, s] = 1.0
-        via_sp = compute.update_partials_sp(s1, m1e, indicator2, m2)
+        via_sp = compute.update_partials_sp(
+            s1, m1e, indicator2.swapaxes(1, 2), m2
+        ).swapaxes(1, 2)
         assert np.allclose(got, via_sp)
 
     def test_out_parameter(self):
@@ -81,10 +87,14 @@ class TestPartialsKernels:
         model = JC69()
         l1, l2 = _random_partials(rng), _random_partials(rng)
         m1, m2 = _matrices(model, rng), _matrices(model, rng)
-        out = np.empty_like(l1)
-        result = compute.update_partials_pp(l1, m1, l2, m2, out=out)
+        out = np.empty_like(l1.swapaxes(1, 2))
+        result = compute.update_partials_pp(
+            l1.swapaxes(1, 2), m1, l2.swapaxes(1, 2), m2, out=out
+        )
         assert result is out
-        assert np.allclose(out, compute.update_partials_pp(l1, m1, l2, m2))
+        assert np.allclose(out, compute.update_partials_pp(
+            l1.swapaxes(1, 2), m1, l2.swapaxes(1, 2), m2
+        ))
 
 
 class TestMatricesFromEigen:
@@ -111,6 +121,36 @@ class TestMatricesFromEigen:
         )
         assert mats.dtype == np.float32
 
+    @pytest.mark.parametrize(
+        "model,rates",
+        [(HKY85(2.0, [0.1, 0.4, 0.3, 0.2]), SiteModel.gamma(0.5, 4).rates),
+         (GY94(kappa=2.0, omega=0.3), SiteModel.gamma(0.5, 4).rates)],
+        ids=["hky-gamma4", "gy94-gamma4"],
+    )
+    def test_batch_invariant(self, model, rates):
+        """A branch gets the same bits alone as inside a batch of 50, so
+        the matrix cache serves the same values whatever filled it."""
+        e = model.eigen
+        args = (e.eigenvectors, e.inverse_eigenvectors, e.eigenvalues)
+        lengths = np.random.default_rng(9).random(50) * 0.5
+        batch = compute.matrices_from_eigen(*args, lengths, rates)
+        alone = np.concatenate([
+            compute.matrices_from_eigen(*args, lengths[b:b + 1], rates)
+            for b in range(50)
+        ])
+        assert np.array_equal(batch, alone)
+        for order in (1, 2):
+            batch = compute.derivative_matrices_from_eigen(
+                *args, lengths, rates, order
+            )
+            alone = np.concatenate([
+                compute.derivative_matrices_from_eigen(
+                    *args, lengths[b:b + 1], rates, order
+                )
+                for b in range(50)
+            ])
+            assert np.array_equal(batch, alone)
+
     def test_extend_for_gaps(self):
         m = np.arange(8, dtype=float).reshape(1, 2, 4)[:, :2, :2]
         ext = compute.extend_matrices_for_gaps(m)
@@ -122,7 +162,10 @@ class TestRescaling:
     def test_factors_restore_magnitude(self):
         rng = np.random.default_rng(6)
         partials = rng.random((3, 5, 4)) * 1e-30
-        rescaled, log_factors = compute.rescale_partials(partials)
+        rescaled, log_factors = compute.rescale_partials(
+            partials.swapaxes(1, 2).copy()
+        )
+        rescaled = rescaled.swapaxes(1, 2)
         assert np.allclose(rescaled.max(axis=(0, 2)), 1.0)
         restored = rescaled * np.exp(log_factors)[None, :, None]
         assert np.allclose(restored, partials)
@@ -130,7 +173,10 @@ class TestRescaling:
     def test_zero_pattern_keeps_zero(self):
         partials = np.zeros((1, 2, 4))
         partials[0, 1, :] = 0.5
-        rescaled, log_factors = compute.rescale_partials(partials)
+        rescaled, log_factors = compute.rescale_partials(
+            partials.swapaxes(1, 2).copy()
+        )
+        rescaled = rescaled.swapaxes(1, 2)
         assert np.all(rescaled[0, 0] == 0.0)
         assert log_factors[0] == 0.0
 
@@ -145,7 +191,7 @@ class TestRootAndEdge:
     def test_root_loglik_naive(self):
         partials = self.rng.random((2, 6, 4))
         logl, per_pattern = compute.root_log_likelihood(
-            partials, self.weights, self.model.frequencies,
+            partials.swapaxes(1, 2), self.weights, self.model.frequencies,
             self.pattern_weights,
         )
         want = 0.0
@@ -164,11 +210,11 @@ class TestRootAndEdge:
         partials = self.rng.random((2, 6, 4))
         scale = self.rng.random(6)
         base, _ = compute.root_log_likelihood(
-            partials, self.weights, self.model.frequencies,
+            partials.swapaxes(1, 2), self.weights, self.model.frequencies,
             self.pattern_weights,
         )
         scaled, _ = compute.root_log_likelihood(
-            partials, self.weights, self.model.frequencies,
+            partials.swapaxes(1, 2), self.weights, self.model.frequencies,
             self.pattern_weights, cumulative_scale_log=scale,
         )
         assert np.isclose(scaled, base + np.dot(self.pattern_weights, scale))
@@ -177,7 +223,7 @@ class TestRootAndEdge:
         partials = np.zeros((1, 2, 4))
         partials[0, 1] = 0.25
         logl, per = compute.root_log_likelihood(
-            partials, np.ones(1), np.full(4, 0.25), np.ones(2)
+            partials.swapaxes(1, 2), np.ones(1), np.full(4, 0.25), np.ones(2)
         )
         assert per[0] == -np.inf and logl == -np.inf
 
@@ -187,12 +233,12 @@ class TestRootAndEdge:
         parent = self.rng.random((2, 6, 4))
         child = self.rng.random((2, 6, 4))
         edge_ll, _ = compute.edge_log_likelihood(
-            parent, child, mats, self.weights, self.model.frequencies,
+            parent.swapaxes(1, 2), child.swapaxes(1, 2), mats, self.weights, self.model.frequencies,
             self.pattern_weights,
         )
         merged = parent * np.matmul(child, mats.swapaxes(-1, -2))
         root_ll, _ = compute.root_log_likelihood(
-            merged, self.weights, self.model.frequencies,
+            merged.swapaxes(1, 2), self.weights, self.model.frequencies,
             self.pattern_weights,
         )
         assert np.isclose(edge_ll, root_ll)
@@ -206,7 +252,7 @@ class TestRootAndEdge:
         def ll(t):
             mats = model.transition_matrix(t)[None]
             value, _ = compute.edge_log_likelihood(
-                parent, child, mats, np.ones(1), model.frequencies,
+                parent.swapaxes(1, 2), child.swapaxes(1, 2), mats, np.ones(1), model.frequencies,
                 self.pattern_weights,
             )
             return value
@@ -215,7 +261,7 @@ class TestRootAndEdge:
         d1m = (model.q @ model.transition_matrix(t0))[None]
         d2m = (model.q @ model.q @ model.transition_matrix(t0))[None]
         logl, d1, d2 = compute.edge_derivatives(
-            parent, child, p, d1m, d2m, np.ones(1), model.frequencies,
+            parent.swapaxes(1, 2), child.swapaxes(1, 2), p, d1m, d2m, np.ones(1), model.frequencies,
             self.pattern_weights,
         )
         fd1 = (ll(t0 + h) - ll(t0 - h)) / (2 * h)

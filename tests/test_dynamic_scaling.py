@@ -15,7 +15,10 @@ class TestRescaleThreshold:
     def test_infinite_threshold_rescales_everything(self):
         rng = np.random.default_rng(1)
         partials = rng.random((2, 5, 4))
-        rescaled, factors = compute.rescale_partials(partials)
+        rescaled, factors = compute.rescale_partials(
+            partials.swapaxes(1, 2).copy()
+        )
+        rescaled = rescaled.swapaxes(1, 2)
         assert np.allclose(rescaled.max(axis=(0, 2)), 1.0)
         assert np.all(factors != 0.0)
 
@@ -23,8 +26,9 @@ class TestRescaleThreshold:
         partials = np.full((1, 3, 4), 0.5)
         partials[0, 1, :] = 1e-12  # only pattern 1 is in danger
         rescaled, factors = compute.rescale_partials(
-            partials, threshold=1e-6
+            partials.swapaxes(1, 2).copy(), threshold=1e-6
         )
+        rescaled = rescaled.swapaxes(1, 2)
         assert factors[0] == 0.0 and factors[2] == 0.0
         assert factors[1] != 0.0
         assert np.allclose(rescaled[0, 0], 0.5)        # untouched
@@ -33,8 +37,9 @@ class TestRescaleThreshold:
     def test_zero_patterns_still_propagate(self):
         partials = np.zeros((1, 2, 4))
         rescaled, factors = compute.rescale_partials(
-            partials, threshold=1e-6
+            partials.swapaxes(1, 2).copy(), threshold=1e-6
         )
+        rescaled = rescaled.swapaxes(1, 2)
         assert np.all(rescaled == 0.0)
         assert np.all(factors == 0.0)
 

@@ -130,8 +130,12 @@ def partials_inputs(draw):
 @given(inputs=partials_inputs())
 def test_partials_update_symmetric_in_children(inputs):
     l1, m1, l2, m2 = inputs
-    a = compute.update_partials_pp(l1, m1, l2, m2)
-    b = compute.update_partials_pp(l2, m2, l1, m1)
+    a = compute.update_partials_pp(
+        l1.swapaxes(1, 2), m1, l2.swapaxes(1, 2), m2
+    )
+    b = compute.update_partials_pp(
+        l2.swapaxes(1, 2), m2, l1.swapaxes(1, 2), m1
+    )
     assert np.allclose(a, b)
 
 
@@ -140,11 +144,14 @@ def test_partials_update_symmetric_in_children(inputs):
 def test_partials_update_pattern_local(inputs):
     """Each pattern's output depends only on that pattern's inputs."""
     l1, m1, l2, m2 = inputs
-    full = compute.update_partials_pp(l1, m1, l2, m2)
+    full = compute.update_partials_pp(
+        l1.swapaxes(1, 2), m1, l2.swapaxes(1, 2), m2
+    ).swapaxes(1, 2)
     p = l1.shape[1] // 2
     sliced = compute.update_partials_pp(
-        l1[:, p : p + 1], m1, l2[:, p : p + 1], m2
-    )
+        l1[:, p : p + 1].swapaxes(1, 2), m1,
+        l2[:, p : p + 1].swapaxes(1, 2), m2,
+    ).swapaxes(1, 2)
     assert np.allclose(full[:, p : p + 1], sliced)
 
 
@@ -152,8 +159,12 @@ def test_partials_update_pattern_local(inputs):
 @given(inputs=partials_inputs(), scale=st.floats(min_value=1e-6, max_value=1e6))
 def test_partials_update_linear_in_each_child(inputs, scale):
     l1, m1, l2, m2 = inputs
-    base = compute.update_partials_pp(l1, m1, l2, m2)
-    scaled = compute.update_partials_pp(l1 * scale, m1, l2, m2)
+    base = compute.update_partials_pp(
+        l1.swapaxes(1, 2), m1, l2.swapaxes(1, 2), m2
+    ).swapaxes(1, 2)
+    scaled = compute.update_partials_pp(
+        (l1 * scale).swapaxes(1, 2), m1, l2.swapaxes(1, 2), m2
+    ).swapaxes(1, 2)
     assert np.allclose(scaled, base * scale, rtol=1e-9)
 
 
@@ -161,8 +172,13 @@ def test_partials_update_linear_in_each_child(inputs, scale):
 @given(inputs=partials_inputs())
 def test_rescale_round_trips(inputs):
     l1, m1, l2, m2 = inputs
-    dest = compute.update_partials_pp(l1, m1, l2, m2)
-    rescaled, log_factors = compute.rescale_partials(dest)
+    dest = compute.update_partials_pp(
+        l1.swapaxes(1, 2), m1, l2.swapaxes(1, 2), m2
+    ).swapaxes(1, 2)
+    rescaled, log_factors = compute.rescale_partials(
+        dest.swapaxes(1, 2).copy()
+    )
+    rescaled = rescaled.swapaxes(1, 2)
     assert np.all(rescaled <= 1.0 + 1e-12)
     restored = rescaled * np.exp(log_factors)[None, :, None]
     assert np.allclose(restored, dest, rtol=1e-10)
@@ -181,10 +197,12 @@ def test_root_loglik_linear_in_pattern_weights(seed, weights):
     freqs = np.full(4, 0.25)
     w = np.asarray(weights)
     total, per_pattern = compute.root_log_likelihood(
-        partials, cat_w, freqs, w
+        partials.swapaxes(1, 2), cat_w, freqs, w
     )
     assert np.isclose(total, np.dot(w, per_pattern))
-    double, _ = compute.root_log_likelihood(partials, cat_w, freqs, 2 * w)
+    double, _ = compute.root_log_likelihood(
+        partials.swapaxes(1, 2), cat_w, freqs, 2 * w
+    )
     assert np.isclose(double, 2 * total)
 
 

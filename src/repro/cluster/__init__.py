@@ -14,7 +14,6 @@ from repro.cluster.scheduler import (
     ClusterJob,
     ClusterScheduler,
     NodeLossEvent,
-    NodeQuarantine,
     PlacementDecision,
     Shard,
     makespan_lower_bound,
@@ -28,7 +27,6 @@ __all__ = [
     "ClusterScheduler",
     "ClusterSession",
     "NodeLossEvent",
-    "NodeQuarantine",
     "PlacementDecision",
     "Shard",
     "WorkerNode",

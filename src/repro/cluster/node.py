@@ -13,9 +13,9 @@ The node carries the cluster's calibration state for its machine:
   (:func:`repro.partition.autoselect.predict_throughput`) where the
   device spec names a modelled backend, a neutral weight otherwise;
 * an **EWMA** of measured shard rates (patterns per simulated second,
-  :class:`~repro.sched.executor.ComponentTiming`), folded in by the
+  :class:`~repro.sched.failover.ComponentTiming`), folded in by the
   scheduler after every completed shard — the model seeds the weights,
-  measurements own them.
+  measurements own them (:class:`~repro.sched.failover.RateTable`).
 
 Fault injection plugs in at the node level: the scheduler hands each
 node the memoized :class:`~repro.resil.faults.FaultInjector` for its
@@ -26,23 +26,33 @@ slow node shows up in the measured rate; device-loss raises from inside
 the shard and surfaces to the scheduler as a node failure.  Transient
 kernel faults are retried in place under the node's
 :class:`~repro.resil.RetryPolicy`, with the deterministic backoff
-charged to the device clock.
+charged to the device clock (the shared failover core,
+:mod:`repro.sched.failover`).
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import Future
+from functools import partial
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.analysis import locksan
 from repro.config import backend_flags
 from repro.core.highlevel import TreeLikelihood
-from repro.sched.executor import ComponentTiming
+from repro.sched.failover import (
+    ComponentTiming,
+    RateTable,
+    call_with_retries,
+    device_clock,
+    timed_call,
+)
 from repro.sched.workers import LabelledWorkerPool
 
 __all__ = ["WorkerNode", "prior_rate_for"]
+
+#: EWMA weight of the newest measured shard rate.
+_EWMA_ALPHA = 0.5
 
 #: Backend name -> perf-model backend key (``kind:device``) used to seed
 #: a node's throughput prior.  Unlisted backends (and raw kwarg specs,
@@ -100,8 +110,6 @@ class WorkerNode:
     retry_policy:
         Transient shard failures retry in place under this policy; the
         backoff is charged to the shard instance's device clock.
-    alpha:
-        EWMA weight of the newest measured shard rate.
     """
 
     def __init__(
@@ -112,12 +120,9 @@ class WorkerNode:
         retry_policy: Any = None,
         tracer: Any = None,
         metrics: Any = None,
-        alpha: float = 0.5,
     ) -> None:
         if not devices:
             raise ValueError(f"node {name!r} needs at least one device")
-        if not 0 < alpha <= 1:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.name = name
         self.device_specs: Dict[str, DeviceRequest] = {
             label: (spec if isinstance(spec, str) else dict(spec))
@@ -132,7 +137,6 @@ class WorkerNode:
         self._retry_policy = retry_policy
         self._tracer = tracer
         self._metrics = metrics
-        self.alpha = float(alpha)
         self._pool = LabelledWorkerPool(thread_name_prefix=f"node-{name}")
         #: Calibration/dispatch state below is driven by the scheduler
         #: under its state lock (readers copy under the same lock); the
@@ -150,10 +154,10 @@ class WorkerNode:
         self._injector: Any = None
         self._dispatched = 0
         self._completed = 0
-        self._rate: Optional[float] = None
         self._prior = sum(
             prior_rate_for(spec) for spec in self.device_specs.values()
         ) / len(self.device_specs)
+        self._rates = RateTable(_EWMA_ALPHA, prior=self._prior)
 
     # -- calibration -------------------------------------------------------
 
@@ -171,7 +175,7 @@ class WorkerNode:
     def rate(self) -> float:
         """Calibrated per-device rate: EWMA if measured, prior otherwise."""
         locksan.access(self._coord_state, write=False)
-        return self._rate if self._rate is not None else self._prior
+        return self._rates.rate(self.name)
 
     @property
     def effective_rate(self) -> float:
@@ -183,7 +187,7 @@ class WorkerNode:
     def calibrated(self) -> bool:
         """Whether any measured shard has refined the prior."""
         locksan.access(self._coord_state, write=False)
-        return self._rate is not None
+        return self.name in self._rates
 
     @property
     def completed(self) -> int:
@@ -199,11 +203,7 @@ class WorkerNode:
         """
         locksan.access(self._coord_state)
         self._completed += 1
-        rate = timing.rate
-        self._rate = (
-            rate if self._rate is None
-            else self.alpha * rate + (1 - self.alpha) * self._rate
-        )
+        self._rates.observe(self.name, timing.rate)
 
     # -- fault injection ---------------------------------------------------
 
@@ -252,9 +252,7 @@ class WorkerNode:
         )
 
     def _note_retry(self, device: str, attempt: int, exc: BaseException,
-                    clock: Any) -> None:
-        policy = self._retry_policy
-        delay = policy.delay_s(attempt, salt=f"{self.name}:{device}")
+                    delay: float) -> None:
         tracer = self._tracer
         if tracer is not None and tracer.enabled:
             tracer.event(
@@ -268,12 +266,6 @@ class WorkerNode:
             )
         if self._metrics is not None:
             self._metrics.counter("cluster.retries").inc()
-        # Charge the backoff to the device clock where one exists, as
-        # the executor does — retries cost device time, not test time.
-        if clock is not None:
-            clock.advance(delay, "cluster.retry-backoff")
-        elif delay > 0:
-            time.sleep(delay)
 
     def _evaluate_shard(
         self, shard: Any, device: str, parent_span: Optional[int]
@@ -293,18 +285,20 @@ class WorkerNode:
             if self._tracer is not None:
                 component.instrument(self._tracer, self._metrics)
             impl = component.instance.impl
-            interface = getattr(impl, "interface", None)
-            clock = getattr(interface, "clock", None)
-            sim0 = getattr(impl, "simulated_time", None)
-            t0 = time.perf_counter()
-            value = self._run_with_retries(component, device, clock)
-            wall = time.perf_counter() - t0
-            sim = None if sim0 is None else impl.simulated_time - sim0
-            timing = ComponentTiming(
-                label=f"{self.name}:{device}",
-                patterns=shard.patterns,
-                wall_s=wall,
-                simulated_s=sim,
+            clock = device_clock(impl)
+            label = f"{self.name}:{device}"
+
+            def attempt() -> float:
+                self._consult_injector(clock)
+                return float(component.log_likelihood())
+
+            value, timing = timed_call(
+                impl, label, shard.patterns,
+                partial(
+                    call_with_retries, self._retry_policy, attempt,
+                    impl=impl, salt=label, charge="cluster.retry-backoff",
+                    on_retry=partial(self._note_retry, device),
+                ),
             )
             tracer = self._tracer
             if tracer is not None and tracer.enabled:
@@ -322,22 +316,6 @@ class WorkerNode:
             return value, timing
         finally:
             component.finalize()
-
-    def _run_with_retries(self, component: TreeLikelihood, device: str,
-                          clock: Any) -> float:
-        policy = self._retry_policy
-        attempts = 1 if policy is None else policy.max_attempts
-        for attempt in range(1, attempts + 1):
-            try:
-                self._consult_injector(clock)
-                return float(component.log_likelihood())
-            except Exception as exc:
-                if attempt >= attempts or not (
-                    policy is not None and policy.is_transient(exc)
-                ):
-                    raise
-                self._note_retry(device, attempt, exc, clock)
-        raise AssertionError("unreachable: bounded retry loop fell through")
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -29,7 +29,9 @@ and the summation order are fixed at submission — placement only moves
 *whole* shards — the recovered job total is bit-identical to the
 single-node serial baseline (:func:`serial_shard_sum`); see DESIGN
 choice 17.  Quarantined nodes are probed every ``probe_interval``
-rounds and readmitted in their original placement order.
+rounds and readmitted in their original placement order.  The round
+loop, the quarantine table and the calibration are the shared failover
+core, :mod:`repro.sched.failover` (DESIGN choice 19).
 
 Locking
 -------
@@ -66,14 +68,17 @@ from repro.analysis import locksan
 from repro.cluster.node import WorkerNode
 from repro.core.highlevel import TreeLikelihood
 from repro.partition.multi import split_pattern_set
-from repro.sched.executor import ComponentTiming
-from repro.util.errors import DeviceError
+from repro.sched.failover import (
+    ComponentTiming,
+    QuarantineRecord,
+    QuarantineTable,
+    run_failover_rounds,
+)
 
 __all__ = [
     "ClusterJob",
     "ClusterScheduler",
     "NodeLossEvent",
-    "NodeQuarantine",
     "PlacementDecision",
     "Shard",
     "makespan_lower_bound",
@@ -140,17 +145,6 @@ class NodeLossEvent:
     error: str
     migrated: List[str]
     survivors: List[str]
-
-
-@dataclass
-class NodeQuarantine:
-    """A node removed from placement after persistent failure."""
-
-    node: str
-    error: str
-    at_round: int
-    last_probe: int
-    probes: int = 0
 
 
 class ClusterJob:
@@ -370,7 +364,7 @@ class ClusterScheduler:
             threading.Lock(), locksan.scoped_name("cluster.state-lock")
         )
         self._active = list(self._order)
-        self._quarantined: Dict[str, NodeQuarantine] = {}
+        self._quarantine = QuarantineTable(self._order)
         self._placements: List[PlacementDecision] = []
         self._node_loss_events: List[NodeLossEvent] = []
         self._migrations = 0
@@ -455,7 +449,9 @@ class ClusterScheduler:
                 self._metrics.gauge("cluster.queue.depth").set(0)
             try:
                 self._run_round(batch)
-            except Exception as exc:  # defensive: never kill the loop
+            except Exception as exc:
+                # An unrecovered round fails the batch's unfinished jobs
+                # (finished ones ignore it); the loop itself never dies.
                 for job in {shard.job for shard in batch}:
                     job.fail(exc)
 
@@ -467,7 +463,13 @@ class ClusterScheduler:
         }
 
     def _run_round(self, shards: List[Shard]) -> None:
-        """Place and evaluate one drained batch, with failover re-packs."""
+        """Place and evaluate one drained batch, with failover re-packs.
+
+        Persistent node failures quarantine each failed node and re-pack
+        its shards onto the survivors in the next pass; an error the
+        failover loop cannot absorb propagates, and the dispatch loop
+        fails every job of the batch still waiting on a shard.
+        """
         with self._state_lock:
             locksan.access(self._state)
             self._rounds += 1
@@ -476,23 +478,19 @@ class ClusterScheduler:
         with self._state_lock:
             locksan.access(self._state, write=False)
             active_count = len(self._active)
-        policy = self._retry_policy
-        budget = 0
-        if policy is not None and policy.failover:
-            budget = policy.failover_budget(active_count)
-        remaining = [s for s in shards if not s.job.done]
+        remaining = list(shards)
+        failed_shards: Dict[str, List[Shard]] = {}
         tracer = self._tracer
-        for attempt in range(budget + 1):
+
+        def place(attempt: int) -> List[Tuple[str, BaseException]]:
+            nonlocal remaining
+            remaining = [s for s in remaining if not s.job.done]
             if not remaining:
-                return
+                return []
             with self._state_lock:
                 active = list(self._active)
             if not active:
-                self._fail_shards(
-                    remaining,
-                    RuntimeError("no active nodes left in the cluster"),
-                )
-                return
+                raise RuntimeError("no active nodes left in the cluster")
             if tracer is not None and tracer.enabled:
                 with tracer.span(
                     "cluster.round",
@@ -510,32 +508,21 @@ class ClusterScheduler:
                     )
             else:
                 failed = self._run_placement(remaining, round_index, None)
-            if not failed:
-                return
-            # Persistent node failures: quarantine each failed node and
-            # re-pack its shards onto the survivors next iteration.
-            failed_names = {name for name, _, _ in failed}
-            survivors = [n for n in active if n not in failed_names]
-            remaining = []
-            fatal: Optional[BaseException] = None
-            for name, node_shards, exc in failed:
-                if (
-                    not isinstance(exc, DeviceError)
-                    or attempt >= budget
-                    or not survivors
-                ):
-                    fatal = exc
-                else:
-                    self._quarantine(name, node_shards, exc, round_index)
-                remaining.extend(node_shards)
-            if fatal is not None:
-                self._fail_shards(remaining, fatal)
-                return
-            remaining = [s for s in remaining if not s.job.done]
-        if remaining:
-            self._fail_shards(
-                remaining, RuntimeError("failover budget exhausted")
+            failed_shards.clear()
+            failed_shards.update(
+                (name, node_shards) for name, node_shards, _ in failed
             )
+            remaining = [
+                s for _, node_shards, _ in failed for s in node_shards
+            ]
+            return [(name, exc) for name, _, exc in failed]
+
+        run_failover_rounds(
+            self._retry_policy, active_count, place,
+            lambda name, exc: self._quarantine_node(
+                name, failed_shards[name], exc, round_index
+            ),
+        )
 
     def _run_placement(
         self,
@@ -639,35 +626,24 @@ class ClusterScheduler:
 
         _record_failure(f"cluster.shard[{shard.key}]@{name}", exc)
 
-    def _fail_shards(self, shards: Iterable[Shard],
-                     exc: BaseException) -> None:
-        for job in {shard.job for shard in shards}:
-            job.fail(exc)
-
-    def _quarantine(self, name: str, shards: List[Shard],
-                    exc: BaseException, round_index: int) -> None:
+    def _quarantine_node(self, name: str, shards: List[Shard],
+                         exc: BaseException, round_index: int) -> None:
         with self._state_lock:
             locksan.access(self._state)
             if name not in self._active:
                 return
             self._active.remove(name)
-            self._quarantined[name] = NodeQuarantine(
-                node=name,
-                error=f"{type(exc).__name__}: {exc}",
-                at_round=round_index,
-                last_probe=round_index,
-            )
             event = NodeLossEvent(
                 round=round_index,
                 node=name,
-                error=f"{type(exc).__name__}: {exc}",
+                error=self._quarantine.add(name, exc, round_index),
                 migrated=[shard.key for shard in shards],
                 survivors=list(self._active),
             )
             self._node_loss_events.append(event)
             self._migrations += len(shards)
             active_now = len(self._active)
-            quarantined_now = len(self._quarantined)
+            quarantined_now = len(self._quarantine)
         # Worker release happens outside the state lock: retire joins
         # in-flight worker threads and must not block readers.
         self._nodes[name].retire(wait=True)
@@ -696,19 +672,13 @@ class ClusterScheduler:
         and the readmission mutate scheduler state.
         """
         policy = self._retry_policy
-        if policy is None or policy.probe_interval <= 0:
+        if policy is None:
             return
         metrics = self._metrics
         tracer = self._tracer
         with self._state_lock:
             locksan.access(self._state)
-            due: List[str] = []
-            for name, record in self._quarantined.items():
-                if round_index - record.last_probe < policy.probe_interval:
-                    continue
-                record.last_probe = round_index
-                record.probes += 1
-                due.append(name)
+            due = self._quarantine.due(round_index, policy.probe_interval)
         for name in due:
             if metrics is not None:
                 metrics.counter("cluster.probes").inc()
@@ -722,18 +692,14 @@ class ClusterScheduler:
                 continue
             with self._state_lock:
                 locksan.access(self._state)
-                if name not in self._quarantined:
+                if name not in self._quarantine:
                     continue
-                del self._quarantined[name]
                 # Readmit in original submission order so placement
                 # tie-breaks stay deterministic across a loss/heal
                 # cycle.
-                self._active = [
-                    node_name for node_name in self._order
-                    if node_name in self._active or node_name == name
-                ]
+                self._active = self._quarantine.readmit(name, self._active)
                 active_now = len(self._active)
-                quarantined_now = len(self._quarantined)
+                quarantined_now = len(self._quarantine)
             if metrics is not None:
                 metrics.counter("cluster.readmissions").inc()
                 metrics.gauge("cluster.nodes.active").set(active_now)
@@ -753,10 +719,10 @@ class ClusterScheduler:
             locksan.access(self._state, write=False)
             return list(self._active)
 
-    def quarantined(self) -> Dict[str, NodeQuarantine]:
+    def quarantined(self) -> Dict[str, QuarantineRecord]:
         with self._state_lock:
             locksan.access(self._state, write=False)
-            return dict(self._quarantined)
+            return self._quarantine.records()
 
     def rates(self) -> Dict[str, float]:
         """Calibrated effective rate per active node."""

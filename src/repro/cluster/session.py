@@ -43,7 +43,6 @@ def _build_nodes(
     retry_policy: Any,
     tracer: Any,
     metrics: Any,
-    alpha: float,
 ) -> List[WorkerNode]:
     built: List[WorkerNode] = []
     for name, spec in nodes.items():
@@ -59,7 +58,6 @@ def _build_nodes(
                 retry_policy=retry_policy,
                 tracer=tracer,
                 metrics=metrics,
-                alpha=alpha,
             )
         )
     return built
@@ -86,8 +84,6 @@ class ClusterSession:
         (:mod:`repro.resil`); ``fault_plan`` labels are node names.
     trace:
         Enable span tracing from the start.
-    alpha:
-        EWMA weight for measured node throughput.
     likelihood_kwargs:
         Extra :class:`~repro.core.highlevel.TreeLikelihood` keywords
         applied to every shard instance (``use_scaling``,
@@ -106,7 +102,6 @@ class ClusterSession:
         retry_policy: Any = None,
         fault_plan: Any = None,
         trace: bool = False,
-        alpha: float = 0.5,
         **likelihood_kwargs: Any,
     ) -> None:
         if not nodes:
@@ -122,7 +117,7 @@ class ClusterSession:
         self._tracer = Tracer(enabled=trace)
         self._metrics = MetricsRegistry()
         self._nodes = _build_nodes(
-            nodes, retry_policy, self._tracer, self._metrics, alpha
+            nodes, retry_policy, self._tracer, self._metrics
         )
         self.scheduler = ClusterScheduler(
             self._nodes,

@@ -368,9 +368,12 @@ class MultiDeviceLikelihood:
         """Re-admit a quarantined device into the active split.
 
         The active set returns to the original ``device_requests``
-        order, so a drop/readmit cycle restores the exact component
-        ordering (and therefore the bit-exact summation order) of the
-        original configuration.
+        order, so a drop/readmit cycle restores the original component
+        ordering (and therefore the summation order).  The shares are
+        not restored: unless *proportions* is given, every active
+        device gets a uniform share, so the pattern boundaries — and
+        with them the summed value's last bits — can differ from the
+        configuration before the drop.
         """
         if label in self.labels:
             raise ValueError(f"{label!r} is already active")

@@ -8,8 +8,8 @@ doesn't.  Three cooperating pieces:
   installable on simulated backends (hardware level) or any
   implementation (wrapper level);
 * :mod:`repro.resil.retry` — retry/failover policies with bounded
-  attempts and deterministic backoff, consumed by
-  :class:`repro.sched.ConcurrentExecutor`;
+  attempts and deterministic backoff, implemented once by the shared
+  failover core :mod:`repro.sched.failover`;
 * :mod:`repro.resil.checkpoint` — atomic, manifest-hashed MCMC
   snapshots with bit-exact resume.
 

@@ -1,7 +1,9 @@
 """Retry policies with deterministic backoff.
 
-A :class:`RetryPolicy` describes how the multi-device executor reacts
-to device failures:
+A :class:`RetryPolicy` describes how the multi-device executor, the
+cluster scheduler and the likelihood server react to device failures.
+It is data only: its one implementation is the shared failover core,
+:mod:`repro.sched.failover` (DESIGN choice 19).
 
 * **transient** errors (``DeviceError.transient`` is true — e.g. a
   spurious kernel-launch failure) are retried on the *same* device up
@@ -19,7 +21,7 @@ derived from ``crc32(f"{seed}:{salt}:{attempt}")``, so a given policy
 replays the exact same delay schedule on every run — failures stay
 reproducible test fixtures, never a source of flakiness.
 
-Delays are expressed in seconds but are consumed by the executor as
+Delays are expressed in seconds but are charged by the failover core as
 *simulated* time whenever the failing component runs on a simulated
 clock, so retry tests complete in microseconds of wall time.
 """

@@ -7,17 +7,18 @@ evaluates the components of a multi-instance likelihood
 :class:`repro.partition.PartitionedLikelihood`) concurrently — one
 persistent worker per instance, overlapped across backends — and, for
 pattern-split workloads, closes the loop from *measured* per-device
-throughput back into the split proportions.
+throughput back into the split proportions.  The failure path — retry,
+quarantine, probe, readmit, rate calibration — lives once in
+:mod:`repro.sched.failover`, shared with the cluster and the server.
 """
 
 from repro.sched.executor import (
-    ComponentTiming,
     ConcurrentExecutor,
     FailoverEvent,
-    QuarantineRecord,
     RebalanceEvent,
     RebalancingExecutor,
 )
+from repro.sched.failover import ComponentTiming, QuarantineRecord
 from repro.sched.workers import LabelledWorkerPool
 
 __all__ = [

@@ -23,17 +23,19 @@ Two cooperating pieces:
   :meth:`repro.partition.multi.MultiDeviceLikelihood.resplit`.
 
 With a :class:`~repro.resil.RetryPolicy` attached, the executor also
-survives device failure (the resilience layer, :mod:`repro.resil`):
+survives device failure (the resilience layer, :mod:`repro.resil`).
+Each mechanism below is a thin use of the shared failover core,
+:mod:`repro.sched.failover` (DESIGN choice 19):
 
 * **transient** errors (``DeviceError.transient``) are retried on the
   same device, bounded by ``max_attempts``, with deterministic
   exponential backoff charged to the device clock where one exists;
-* **persistent** failures quarantine the device — its worker thread is
-  released, the pattern set is re-split across the survivors through
-  the same machinery rebalancing uses, and the evaluation is re-run, so
-  the recovered log-likelihood remains the component-ordered sum over
-  the surviving split (bit-identical to the serial sum over that
-  split);
+* **persistent** failures quarantine every device that failed in the
+  round — its worker thread is released, the pattern set is re-split
+  across the survivors through the same machinery rebalancing uses,
+  and the evaluation is re-run, so the recovered log-likelihood remains
+  the component-ordered sum over the surviving split (bit-identical to
+  the serial sum over that split);
 * quarantined devices are probed every ``probe_interval`` evaluations
   and re-admitted through the resplit path when the probe passes.
 
@@ -52,50 +54,29 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import locksan
 from repro.obs import NULL_TRACER
 from repro.partition.autoselect import proportions_from_rates
+from repro.sched.failover import (
+    ComponentTiming,
+    QuarantineRecord,
+    QuarantineTable,
+    RateTable,
+    call_with_retries,
+    run_failover_rounds,
+    timed_call,
+)
 from repro.sched.workers import LabelledWorkerPool
-from repro.util.errors import DeviceError
 
 __all__ = [
-    "ComponentTiming",
     "ConcurrentExecutor",
     "FailoverEvent",
-    "QuarantineRecord",
     "RebalanceEvent",
     "RebalancingExecutor",
 ]
-
-
-@dataclass
-class ComponentTiming:
-    """One component's cost in the most recent evaluation."""
-
-    label: str
-    patterns: int
-    wall_s: float
-    #: Modelled device seconds, where the backend simulates a device
-    #: clock (accelerated implementations); ``None`` on host backends.
-    simulated_s: Optional[float]
-
-    @property
-    def measured_s(self) -> float:
-        """The time the rebalancer should trust for this component.
-
-        Simulated device seconds when available (that *is* the device
-        model), wall-clock otherwise.
-        """
-        if self.simulated_s is not None and self.simulated_s > 0:
-            return self.simulated_s
-        return self.wall_s
-
-    @property
-    def rate(self) -> float:
-        """Patterns per measured second."""
-        return self.patterns / max(self.measured_s, 1e-12)
 
 
 @dataclass
@@ -121,17 +102,6 @@ class FailoverEvent:
     #: Measured work discarded from the failed round (the survivors'
     #: completed shard evaluations whose results could not be used).
     wasted_s: float
-
-
-@dataclass
-class QuarantineRecord:
-    """A device removed from the active split after persistent failure."""
-
-    label: str
-    error: str
-    at_evaluation: int
-    last_probe: int
-    probes: int = 0
 
 
 #: One round's per-component outcome: (label, component, value, timing,
@@ -172,7 +142,7 @@ class ConcurrentExecutor:
         behaviour).  With one, transient errors retry in place and —
         when the likelihood supports ``drop_device`` — persistent
         device failures quarantine the device and fail the patterns
-        over to the survivors.
+        over to the survivors (:mod:`repro.sched.failover`).
 
     The executor owns only its worker threads; closing it leaves the
     likelihood usable (and serially evaluable).  Use as a context
@@ -204,7 +174,7 @@ class ConcurrentExecutor:
         self._evaluations = 0
         self._closed = False
         self._failover_events: List[FailoverEvent] = []
-        self._quarantined: Dict[str, QuarantineRecord] = {}
+        self._quarantine = QuarantineTable()
 
     # -- evaluation --------------------------------------------------------
 
@@ -244,20 +214,22 @@ class ConcurrentExecutor:
     def quarantined(self) -> Dict[str, QuarantineRecord]:
         """Currently quarantined devices, by label."""
         locksan.access(self._coord_state, write=False)
-        return dict(self._quarantined)
+        return self._quarantine.records()
 
     def _worker_for(self, label: str) -> ThreadPoolExecutor:
         return self._pool.worker_for(label)
 
-    def _attempt_component(
+    def _run_component(
         self, component: Any, label: str, parent_id: Optional[str],
         method: str, args: Tuple[Any, ...],
     ) -> Tuple[float, ComponentTiming]:
+        call = getattr(component, method)
         impl = component.instance.impl
-        sim0 = getattr(impl, "simulated_time", None)
         tracer = self._tracer
-        t0 = time.perf_counter()
-        if tracer.enabled:
+
+        def attempt() -> float:
+            if not tracer.enabled:
+                return call(*args)
             with tracer.span(
                 "executor.component",
                 kind="component",
@@ -266,24 +238,21 @@ class ConcurrentExecutor:
                 backend=component.instance.details.implementation_name,
                 patterns=component.pattern_count,
             ) as span:
-                value = getattr(component, method)(*args)
+                value = call(*args)
                 span.attrs["value"] = value
-        else:
-            value = getattr(component, method)(*args)
-        wall = time.perf_counter() - t0
-        sim = None if sim0 is None else impl.simulated_time - sim0
-        timing = ComponentTiming(
-            label=label,
-            patterns=component.pattern_count,
-            wall_s=wall,
-            simulated_s=sim,
-        )
-        return value, timing
+                return value
 
-    def _note_retry(self, component: Any, label: str, attempt: int,
-                    exc: BaseException) -> None:
-        policy = self._retry_policy
-        delay = policy.delay_s(attempt, salt=label)
+        return call_with_retries(
+            self._retry_policy,
+            partial(timed_call, impl, label, component.pattern_count, attempt),
+            impl=impl,
+            salt=label,
+            charge="resil.retry-backoff",
+            on_retry=partial(self._note_retry, label),
+        )
+
+    def _note_retry(self, label: str, attempt: int, exc: BaseException,
+                    delay: float) -> None:
         tracer = self._tracer
         if tracer.enabled:
             tracer.event(
@@ -298,34 +267,6 @@ class ConcurrentExecutor:
         if metrics is not None:
             metrics.counter("resil.retries").inc()
             metrics.histogram("resil.retry.delay_s").observe(delay)
-        # Charge the backoff to the device clock where one exists (the
-        # retry costs device time, and tests stay wall-clock fast);
-        # otherwise really wait.
-        interface = getattr(component.instance.impl, "interface", None)
-        clock = getattr(interface, "clock", None)
-        if clock is not None:
-            clock.advance(delay, "resil.retry-backoff")
-        elif delay > 0:
-            time.sleep(delay)
-
-    def _run_component(
-        self, component: Any, label: str, parent_id: Optional[str],
-        method: str, args: Tuple[Any, ...],
-    ) -> Tuple[float, ComponentTiming]:
-        policy = self._retry_policy
-        attempts = 1 if policy is None else policy.max_attempts
-        for attempt in range(1, attempts + 1):
-            try:
-                return self._attempt_component(
-                    component, label, parent_id, method, args
-                )
-            except Exception as exc:
-                if attempt >= attempts or not (
-                    policy is not None and policy.is_transient(exc)
-                ):
-                    raise
-                self._note_retry(component, label, attempt, exc)
-        raise AssertionError("unreachable: bounded retry loop fell through")
 
     def _record_component_failure(self, label: str, component: Any,
                                   exc: BaseException) -> None:
@@ -374,13 +315,14 @@ class ConcurrentExecutor:
     def _failover(self, label: str, exc: BaseException,
                   wasted_s: float) -> None:
         """Quarantine *label* and re-split its patterns over survivors."""
+        error = f"{type(exc).__name__}: {exc}"
         tracer = self._tracer
         if tracer.enabled:
             with tracer.span(
                 "resil.failover",
                 kind="resil",
                 label=label,
-                error=f"{type(exc).__name__}: {exc}",
+                error=error,
                 wasted_s=wasted_s,
             ) as span:
                 rebuilt = self.likelihood.drop_device(label)
@@ -391,17 +333,12 @@ class ConcurrentExecutor:
         # The lost device's worker is released immediately — failover
         # must never leak threads.
         self._pool.retire(label, wait=True)
-        self._quarantined[label] = QuarantineRecord(
-            label=label,
-            error=f"{type(exc).__name__}: {exc}",
-            at_evaluation=self._evaluations,
-            last_probe=self._evaluations,
-        )
+        self._quarantine.add(label, exc, self._evaluations)
         self._failover_events.append(
             FailoverEvent(
                 evaluation=self._evaluations,
                 label=label,
-                error=f"{type(exc).__name__}: {exc}",
+                error=error,
                 survivors=self.labels,
                 rebuilt=rebuilt,
                 wasted_s=wasted_s,
@@ -412,36 +349,26 @@ class ConcurrentExecutor:
             metrics.counter("resil.failover.events").inc()
             metrics.counter("resil.quarantines").inc()
             metrics.histogram("resil.failover.wasted_s").observe(wasted_s)
-            metrics.gauge("resil.quarantined").set(len(self._quarantined))
+            metrics.gauge("resil.quarantined").set(len(self._quarantine))
 
     def _maybe_probe(self) -> None:
         """Probe quarantined devices for recovery; re-admit on success."""
         policy = self._retry_policy
-        if (
-            not self._quarantined
-            or policy is None
-            or policy.probe_interval <= 0
-            or not hasattr(self.likelihood, "readmit_device")
-        ):
+        if policy is None or not hasattr(self.likelihood, "readmit_device"):
             return
         metrics = self._metrics
-        for label in list(self._quarantined):
-            record = self._quarantined[label]
-            if self._evaluations - record.last_probe < policy.probe_interval:
-                continue
-            record.last_probe = self._evaluations
-            record.probes += 1
+        tracer = self._tracer
+        for label in self._quarantine.due(
+            self._evaluations, policy.probe_interval
+        ):
             if metrics is not None:
                 metrics.counter("resil.probes").inc()
-            tracer = self._tracer
-            healthy = False
             try:
                 self.likelihood.readmit_device(label)
                 index = self.labels.index(label)
                 component = self.likelihood.components[index]
                 # One direct test evaluation; its value is discarded.
                 component.log_likelihood()
-                healthy = True
             except Exception as exc:
                 if label in self.labels:
                     self.likelihood.drop_device(label)
@@ -456,77 +383,64 @@ class ConcurrentExecutor:
                 tracer.event(
                     "resil.probe", kind="resil", label=label, healthy=True
                 )
-            if healthy:
-                del self._quarantined[label]
-                if metrics is not None:
-                    metrics.counter("resil.readmissions").inc()
-                    metrics.gauge("resil.quarantined").set(
-                        len(self._quarantined)
-                    )
+            self._quarantine.release(label)
+            if metrics is not None:
+                metrics.counter("resil.readmissions").inc()
+                metrics.gauge("resil.quarantined").set(len(self._quarantine))
 
     def _evaluate_resilient(self, method: str, args: Tuple[Any, ...],
                             parent_id: Optional[str]) -> float:
-        policy = self._retry_policy
         locksan.access(self._coord_state)
         self._maybe_probe()
-        budget = 0
-        can_failover = policy is not None and policy.failover and hasattr(
-            self.likelihood, "drop_device"
-        )
-        if can_failover:
-            budget = policy.failover_budget(len(self.likelihood.components))
+        policy = self._retry_policy
+        if not hasattr(self.likelihood, "drop_device"):
+            policy = None  # nothing to fail over to: errors propagate
         t0 = time.perf_counter()
-        for round_index in range(budget + 1):
-            outcomes = self._submit_round(method, args, parent_id)
-            failures = [
-                (label, component, exc)
-                for label, component, _, _, exc in outcomes
-                if exc is not None
-            ]
-            if not failures:
-                self._last_timings = [
-                    timing for _, _, _, timing, _ in outcomes
-                ]
-                self._evaluations += 1
-                wall = time.perf_counter() - t0
-                metrics = self._metrics
-                if metrics is not None:
-                    metrics.counter("executor.evaluations").inc()
-                    metrics.gauge("executor.components").set(len(outcomes))
-                    metrics.gauge("executor.wall_s").set(wall)
-                    metrics.gauge("executor.critical_path_s").set(
-                        self.critical_path_s()
-                    )
-                    component_s = metrics.histogram("executor.component_s")
-                    for timing in self._last_timings:
-                        component_s.observe(timing.measured_s)
-                        metrics.gauge(
-                            f"executor.component_s.{timing.label}"
-                        ).set(timing.measured_s)
-                # Sum in component order: bit-identical to the serial sum.
-                return float(
-                    sum(value for _, _, value, _, _ in outcomes)
-                )
-            for label, component, exc in failures:
-                self._record_component_failure(label, component, exc)
-            label, component, exc = failures[0]
-            fatal = (
-                not can_failover
-                or not isinstance(exc, DeviceError)
-                or round_index >= budget
-                or len(self.likelihood.components) <= 1
-            )
-            if fatal:
-                raise exc
+        outcomes: List[_Outcome] = []
+
+        def run_round(attempt: int) -> List[Tuple[str, BaseException]]:
+            outcomes[:] = self._submit_round(method, args, parent_id)
+            failures: List[Tuple[str, BaseException]] = []
+            for label, component, _, _, exc in outcomes:
+                if exc is not None:
+                    self._record_component_failure(label, component, exc)
+                    failures.append((label, exc))
+            return failures
+
+        def quarantine(label: str, exc: BaseException) -> None:
             # The survivors' completed shard evaluations from this
             # round are discarded — that is the recovery's overhead.
             wasted = sum(
                 timing.measured_s
-                for _, _, _, timing, failure in outcomes
-                if failure is None
+                for _, _, _, timing, _ in outcomes
+                if timing is not None
             )
             self._failover(label, exc, wasted)
-        raise AssertionError("unreachable: bounded failover loop")
+
+        run_failover_rounds(
+            policy, len(self.likelihood.components), run_round, quarantine
+        )
+        self._last_timings = [
+            timing for _, _, _, timing, _ in outcomes if timing is not None
+        ]
+        self._evaluations += 1
+        wall = time.perf_counter() - t0
+        metrics = self._metrics
+        if metrics is not None:
+            metrics.counter("executor.evaluations").inc()
+            metrics.gauge("executor.components").set(len(outcomes))
+            metrics.gauge("executor.wall_s").set(wall)
+            metrics.gauge("executor.critical_path_s").set(
+                self.critical_path_s()
+            )
+            component_s = metrics.histogram("executor.component_s")
+            for timing in self._last_timings:
+                component_s.observe(timing.measured_s)
+                metrics.gauge(
+                    f"executor.component_s.{timing.label}"
+                ).set(timing.measured_s)
+        # Sum in component order: bit-identical to the serial sum.
+        return float(sum(value for _, _, value, _, _ in outcomes))
 
     def _evaluate(self, method: str, *args: Any) -> float:
         if self._closed:
@@ -635,17 +549,16 @@ class RebalancingExecutor(ConcurrentExecutor):
                 "resplit(); got "
                 f"{type(likelihood).__name__}"
             )
-        if not 0 < alpha <= 1:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+        rates = RateTable(alpha)
         if threshold <= 0:
             raise ValueError(f"threshold must be positive, got {threshold}")
         super().__init__(
             likelihood, tracer, metrics, retry_policy=retry_policy
         )
         self.threshold = float(threshold)
-        self.alpha = float(alpha)
+        self.alpha = rates.alpha
         self.min_evaluations = int(min_evaluations)
-        self._rates: Dict[str, float] = {}
+        self._rates = rates
         self._events: List[RebalanceEvent] = []
         if seed_backends is not None:
             from repro.partition.autoselect import balance_proportions
@@ -662,7 +575,7 @@ class RebalancingExecutor(ConcurrentExecutor):
     def rates(self) -> Dict[str, float]:
         """Current EWMA throughput estimate per device (patterns/s)."""
         locksan.access(self._coord_state, write=False)
-        return dict(self._rates)
+        return self._rates.as_dict()
 
     def rebalance_events(self) -> List[RebalanceEvent]:
         """Every executed rebalance, oldest first."""
@@ -679,7 +592,7 @@ class RebalancingExecutor(ConcurrentExecutor):
             return 0.0
         shares = self.likelihood.proportions
         n = self.likelihood.data.n_patterns
-        rates = [self._rates[label] for label in self.labels]
+        rates = [self._rates.rate(label) for label in self.labels]
         worst = max(
             share * n / rate for share, rate in zip(shares, rates)
         )
@@ -688,12 +601,7 @@ class RebalancingExecutor(ConcurrentExecutor):
 
     def _update_rates(self) -> None:
         for timing in self._last_timings:
-            rate = timing.rate
-            prev = self._rates.get(timing.label)
-            self._rates[timing.label] = (
-                rate if prev is None
-                else self.alpha * rate + (1 - self.alpha) * prev
-            )
+            self._rates.observe(timing.label, timing.rate)
 
     def _maybe_rebalance(self) -> None:
         metrics = self._metrics
@@ -712,7 +620,7 @@ class RebalancingExecutor(ConcurrentExecutor):
         # (and stay below the uniform share, as the floor must).
         min_share = min(1.0 / n, 0.5 / k)
         new = proportions_from_rates(
-            [self._rates[label] for label in self.labels],
+            [self._rates.rate(label) for label in self.labels],
             min_share=min_share,
         )
         old = list(self.likelihood.proportions)

@@ -21,11 +21,12 @@ instead of each paying a build.
 Device loss folds into the resilience machinery: a
 :class:`~repro.util.errors.DeviceError` from a pooled instance retires
 it, transient errors retry under the config's
-:class:`~repro.resil.RetryPolicy` with its deterministic backoff, and
-persistent losses rebuild a replacement instance (a bounded failover,
-mirroring the executor's quarantine path) so every *accepted* request
-still completes — bit-identically, because requests are always
-evaluated as a full post-order traversal.
+:class:`~repro.resil.RetryPolicy` with its deterministic backoff (the
+shared retry of :mod:`repro.sched.failover`), and — when the policy
+allows failover — persistent losses rebuild a replacement instance (a
+bounded failover, mirroring the executor's quarantine path) so every
+*accepted* request still completes — bit-identically, because requests
+are always evaluated as a full post-order traversal.
 
 Clients can block (``ticket.result()``) or ``await`` the same ticket
 from asyncio code; the server core is thread-based so no event loop is
@@ -40,12 +41,13 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis import locksan
 from repro.config import SessionConfig
 from repro.obs import MetricsRegistry, Tracer
-from repro.resil import RetryPolicy
+from repro.sched.failover import call_with_retries, failover_enabled
 from repro.sched.workers import LabelledWorkerPool
 from repro.serve.pool import InstancePool, PoolKey, PooledInstance
 from repro.serve.scheduler import DeficitRoundRobin
@@ -429,27 +431,38 @@ class LikelihoodServer:
         Transient device errors retry on the same instance under the
         config's retry policy (deterministic backoff, charged to the
         simulated device clock where one exists).  Persistent device
-        loss retires the pooled instance and fails over to a freshly
-        built replacement — bounded by the policy's attempt budget, so
-        a device that keeps dying eventually surfaces the error.
+        loss retires the pooled instance and, when the policy allows
+        failover, moves to a freshly built replacement.  Retries and
+        failovers share the policy's attempt budget, so a device that
+        keeps dying eventually surfaces the error.
         """
         policy = self.config.retry_policy
-        attempts = 1 if policy is None else max(1, policy.max_attempts)
+        attempts = 1 if policy is None else policy.max_attempts
+        attempt = 1
         current = pooled
-        for attempt in range(1, attempts + 1):
+
+        def note_retry(n: int, exc: BaseException, delay: float) -> None:
+            nonlocal attempt
+            attempt = n + 1
+            self.metrics.counter("resil.retries").inc()
+
+        for _ in range(attempts):
             try:
-                value = self._run_on_instance(current, request)
+                value = call_with_retries(
+                    policy,
+                    partial(self._run_on_instance, current, request),
+                    impl=current.likelihood.instance.impl,
+                    salt=current.label,
+                    charge="serve.retry-backoff",
+                    on_retry=note_retry,
+                    first_attempt=attempt,
+                )
             except DeviceError as exc:
-                if policy is None or attempt >= attempts:
-                    self._pool.retire(current)
+                self._pool.retire(current)
+                if attempt >= attempts or not failover_enabled(policy):
                     raise
-                if exc.transient and policy.is_transient(exc):
-                    self._charge_backoff(current, attempt, policy)
-                    self.metrics.counter("resil.retries").inc()
-                    continue
                 # Persistent loss: quarantine-equivalent for a pooled
                 # instance is retirement + rebuild.
-                self._pool.retire(current)
                 self.metrics.counter("serve.failover.events").inc()
                 if self.tracer.enabled:
                     self.tracer.event(
@@ -458,6 +471,7 @@ class LikelihoodServer:
                         error=f"{type(exc).__name__}: {exc}",
                     )
                 current = self._reacquire(request, exc)
+                attempt += 1
                 continue
             except Exception:
                 # Non-device failure: the instance is healthy, the
@@ -481,18 +495,6 @@ class LikelihoodServer:
             with self._lock:
                 self._lock.wait(0.01)
         raise cause
-
-    def _charge_backoff(self, pooled: PooledInstance, attempt: int,
-                        policy: RetryPolicy) -> None:
-        delay = policy.delay_s(attempt, salt=pooled.label)
-        interface = getattr(
-            pooled.likelihood.instance.impl, "interface", None
-        )
-        clock = getattr(interface, "clock", None)
-        if clock is not None:
-            clock.advance(delay, "serve.retry-backoff")
-        elif delay > 0:
-            time.sleep(delay)
 
     def _run_on_instance(self, pooled: PooledInstance,
                          request: ServeRequest) -> float:

@@ -308,7 +308,7 @@ class TestObservabilityAndLifecycle:
             cs.submit()
 
     def test_worker_node_calibration_state(self, workload):
-        node = WorkerNode("n", {"d0": "cuda"}, alpha=0.5)
+        node = WorkerNode("n", {"d0": "cuda"})
         try:
             assert not node.calibrated
             assert node.rate == node.prior_rate

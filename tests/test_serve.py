@@ -14,7 +14,7 @@ from repro.resil import FaultEvent, FaultPlan, RetryPolicy
 from repro.seq import synthetic_pattern_set
 from repro.serve import DeficitRoundRobin, LikelihoodServer
 from repro.tree import yule_tree
-from repro.util.errors import AdmissionError
+from repro.util.errors import AdmissionError, DeviceLostError
 
 CFG = SessionConfig(backend="cpu-serial", deferred=True)
 
@@ -232,6 +232,37 @@ def test_device_loss_failover_is_bit_identical(workload):
     assert plan.fired()  # the scripted fault actually triggered
     expected = [_baseline(t, data, model, site_model) for t in trees]
     assert values == expected * 3  # recovery is invisible in the bits
+
+
+def test_device_loss_without_failover_propagates(workload):
+    """``RetryPolicy(failover=False)`` makes a lost instance's request
+    fail, as in the executor and the cluster: the instance is retired,
+    no replacement is built for the request."""
+    model, site_model, data, trees = workload
+    plan = FaultPlan([FaultEvent("device-loss", "serve-0", at=2)], seed=5)
+    strict = CFG.replace(
+        retry_policy=RetryPolicy(max_attempts=3, failover=False, seed=5),
+        fault_plan=plan, fault_level="wrapper",
+    )
+    with LikelihoodServer(strict, pool_per_key=1) as server:
+        client = server.register("t0")
+        outcomes = []
+        for _ in range(3):
+            ticket = client.submit(data, trees[0], model, site_model)
+            try:
+                outcomes.append(ticket.result(timeout=60))
+            except DeviceLostError as exc:
+                outcomes.append(exc)
+        failovers = server.metrics.counter("serve.failover.events").value
+        retired = server.metrics.counter("serve.pool.retired").value
+    lost = [o for o in outcomes if isinstance(o, DeviceLostError)]
+    assert len(lost) == 1
+    assert retired == 1
+    assert failovers == 0
+    expected = _baseline(trees[0], data, model, site_model)
+    assert [o for o in outcomes if not isinstance(o, Exception)] == (
+        [expected] * 2
+    )
 
 
 def test_ticket_is_awaitable(workload):

@@ -14,8 +14,9 @@ from repro.accel import (
     CUDA_MACROS,
     OPENCL_MACROS,
     KernelConfig,
+    build_program_ir,
     fit_pattern_block_size,
-    generate_kernel_source,
+    lowering_for,
 )
 from repro.accel.device import QUADRO_P5000, RADEON_R9_NANO
 from repro.bench.harness import fig4_series
@@ -24,8 +25,9 @@ from repro.util.tables import format_table
 
 def show_shared_kernels() -> None:
     config = KernelConfig(state_count=61, precision="single", use_fma=True)
+    program = build_program_ir(config)
     for macros in (CUDA_MACROS, OPENCL_MACROS):
-        source = generate_kernel_source(config, macros)
+        source = lowering_for(config, macros).lower(program)
         header = "\n".join(source.splitlines()[:13])
         print(header)
         print("...\n")

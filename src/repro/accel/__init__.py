@@ -36,23 +36,20 @@ from repro.accel.framework import (
 )
 from repro.accel.ir import (
     REQUIRED_KERNELS,
+    KernelConfig,
     KernelIR,
     ProgramIR,
     build_program_ir,
 )
-from repro.accel.kernelgen import (
+from repro.accel.lower import (
     CUDA_MACROS,
     OPENCL_MACROS,
-    KernelConfig,
-    MacroSet,
-    compile_kernel_program,
-    fit_pattern_block_size,
-    generate_kernel_source,
-)
-from repro.accel.lower import (
     Lowering,
     LoweringError,
+    MacroSet,
+    compile_kernel_program,
     fit_config_for_device,
+    fit_pattern_block_size,
     lowering_for,
 )
 from repro.accel.perfmodel import (
@@ -86,7 +83,6 @@ __all__ = [
     "CUDA_MACROS",
     "OPENCL_MACROS",
     "compile_kernel_program",
-    "generate_kernel_source",
     "fit_pattern_block_size",
     "KernelIR",
     "ProgramIR",

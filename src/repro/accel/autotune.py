@@ -27,7 +27,7 @@ Cache invalidation is structural, not temporal.  An entry is rejected
 * the stored device fingerprint does not match the present device (any
   calibration field changed — a different device, a driver/spec update);
 * the stored config no longer constructs a valid
-  :class:`~repro.accel.kernelgen.KernelConfig`, no longer matches the
+  :class:`~repro.accel.ir.KernelConfig`, no longer matches the
   requested (states, precision, variant), or fails the static validator
   against the device;
 * the stored kernel-IR signature differs from the signature of the
@@ -43,6 +43,7 @@ spans and metrics, and the ``pybeagle-tune`` CLI
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import threading
@@ -53,7 +54,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.accel.device import DeviceSpec, ProcessorType
-from repro.accel.kernelgen import KernelConfig
+from repro.accel.ir import IRError, KernelConfig, build_program_ir
+from repro.accel.lower import fit_config_for_device, variant_for
 from repro.accel.perfmodel import (
     accelerator_kernel_time,
     partials_kernel_cost,
@@ -130,8 +132,6 @@ def config_to_dict(config: KernelConfig) -> Dict[str, object]:
 
 
 def _ir_signature(config: KernelConfig) -> str:
-    from repro.accel.ir import build_program_ir
-
     return build_program_ir(config).signature()
 
 
@@ -426,14 +426,6 @@ class AutoTuner:
 
         return OpenCLInterface(self.device)
 
-    def _resolve_variant(self, requested: str) -> str:
-        """The variant the measurement interface will actually build."""
-        if self.framework == "opencl":
-            if self.device.processor == ProcessorType.CPU:
-                return "cpu" if requested == "cpu" else "x86"
-            return "gpu"
-        return requested
-
     def _count(self, name: str, value: float = 1) -> None:
         if self.metrics is not None:
             self.metrics.counter(name).inc(value)
@@ -448,45 +440,23 @@ class AutoTuner:
         the identical config) and pruned by the static validator and the
         IR dataflow verifier; the baseline is always first.
         """
-        from repro.accel.ir import IRError, build_program_ir
-        from repro.accel.lower import fit_config_for_device
         from repro.analysis.irverify import verify_program_ir
         from repro.analysis.kernelcheck import validate_kernel_config
 
         fma_options = (
             (False, True) if self.device.supports_fma else (False,)
         )
+        gpu = baseline.variant == "gpu"
+        knob = "pattern_block_size" if gpu else "workgroup_patterns"
         raw: List[KernelConfig] = []
-        if baseline.variant == "gpu":
-            for block in _GPU_BLOCKS:
-                if block * baseline.state_count > \
-                        self.device.max_workgroup_size:
-                    continue
-                for fma in fma_options:
-                    raw.append(KernelConfig(
-                        state_count=baseline.state_count,
-                        precision=baseline.precision,
-                        variant="gpu",
-                        use_fma=fma,
-                        pattern_block_size=block,
-                        workgroup_patterns=baseline.workgroup_patterns,
-                        category_count=baseline.category_count,
-                    ))
-        else:
-            for wg in _WORKGROUP_PATTERNS:
-                if wg > self.device.max_workgroup_size:
-                    continue
-                for fma in fma_options:
-                    raw.append(KernelConfig(
-                        state_count=baseline.state_count,
-                        precision=baseline.precision,
-                        variant=baseline.variant,
-                        use_fma=fma,
-                        pattern_block_size=baseline.pattern_block_size,
-                        workgroup_patterns=wg,
-                        category_count=baseline.category_count,
-                        use_local_memory=False,
-                    ))
+        for size in _GPU_BLOCKS if gpu else _WORKGROUP_PATTERNS:
+            for fma in fma_options:
+                cand = dataclasses.replace(
+                    baseline, use_fma=fma, use_local_memory=gpu,
+                    **{knob: size},
+                )
+                if cand.workgroup_size <= self.device.max_workgroup_size:
+                    raw.append(cand)
         seen = set()
         result = [baseline]
         seen.add(config_key(baseline))
@@ -521,11 +491,7 @@ class AutoTuner:
 
     def predict(self, config: KernelConfig) -> float:
         """Model-predicted time for the tuning workload (sum over sizes)."""
-        block = (
-            config.pattern_block_size
-            if config.variant == "gpu"
-            else config.workgroup_patterns
-        )
+        block = config.patterns_per_workgroup
         extra = 0.0
         if self.framework == "opencl":
             from repro.accel.opencl import OPENCL_ENQUEUE_OVERHEAD_S
@@ -560,10 +526,6 @@ class AutoTuner:
         the interface actually built (the fitted fixed point) and the
         per-rep simulated seconds.
         """
-        import math
-
-        from repro.accel.framework import LaunchGeometry
-
         iface = self._interface()
         try:
             iface.build_program(config, autotune=False)
@@ -573,17 +535,8 @@ class AutoTuner:
             dtype = np.dtype(built.real_type)
             launches = []
             for patterns in self.pattern_counts:
-                if built.variant == "gpu":
-                    block = built.pattern_block_size
-                    padded = math.ceil(patterns / block) * block
-                    geometry = LaunchGeometry(
-                        (padded, states), (block, states)
-                    )
-                else:
-                    block = built.workgroup_patterns
-                    padded = math.ceil(patterns / block) * block
-                    geometry = LaunchGeometry((padded,), (block,))
-                shape = (cats, padded, states)
+                geometry = built.launch_geometry(patterns)
+                shape = (cats, geometry.global_size[0], states)
                 buffers = [
                     iface.allocate(shape, dtype),
                     iface.allocate(shape, dtype),
@@ -593,7 +546,7 @@ class AutoTuner:
                 ]
                 cost = partials_kernel_cost(
                     patterns, states, cats, built.itemsize,
-                    workgroup_patterns=block,
+                    workgroup_patterns=built.patterns_per_workgroup,
                 )
                 launches.append((buffers, geometry, cost))
             iface.clock.reset()
@@ -627,8 +580,6 @@ class AutoTuner:
         measured winner (baseline wins ties, so the gain is always
         >= 1), and persists it to the tuning cache.
         """
-        from repro.accel.lower import fit_config_for_device
-
         requested = KernelConfig(
             state_count=state_count,
             precision=precision,
@@ -636,9 +587,9 @@ class AutoTuner:
             use_fma=use_fma,
             category_count=category_count,
         )
-        resolved = self._resolve_variant(requested.variant)
         baseline = fit_config_for_device(
-            requested, self.device, variant=resolved
+            requested, self.device,
+            variant=variant_for(self.device, requested.variant),
         )
         key = tuning_key(self.device, baseline)
         with self.tracer.span(

@@ -30,11 +30,8 @@ from repro.accel.framework import (
     HardwareInterface,
     LaunchGeometry,
 )
-from repro.accel.kernelgen import (
-    CUDA_MACROS,
-    KernelConfig,
-    compile_kernel_program,
-)
+from repro.accel.ir import KernelConfig
+from repro.accel.lower import CUDA_MACROS, compile_kernel_program
 from repro.accel.perfmodel import (
     KernelCost,
     SimulatedClock,
@@ -269,6 +266,7 @@ class CudaInterface(HardwareInterface):
     """
 
     framework_name = "CUDA"
+    macros = CUDA_MACROS
 
     def __init__(self, device: DeviceSpec) -> None:
         if not _initialized:
@@ -278,11 +276,6 @@ class CudaInterface(HardwareInterface):
         self.clock = self.ctx.clock
         self._module: Optional[CudaModule] = None
         self._functions: Dict[str, CudaFunction] = {}
-
-    def _lowering(self, config: KernelConfig):
-        from repro.accel.lower import lowering_for
-
-        return lowering_for(config, CUDA_MACROS)
 
     def _load_program(self, source: str, config: KernelConfig) -> None:
         self._module = self.ctx.cuModuleLoadData(source)

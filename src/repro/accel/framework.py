@@ -19,44 +19,24 @@ sub-pointer addressing is pointer arithmetic under CUDA and
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.accel.device import DeviceSpec
-from repro.accel.kernelgen import KernelConfig
+from repro.accel.ir import KernelConfig, LaunchGeometry, build_program_ir
+from repro.accel.lower import (
+    MacroSet,
+    fit_config_for_device,
+    lowering_for,
+    variant_for,
+)
 from repro.accel.perfmodel import KernelCost, SimulatedClock
 from repro.obs import NULL_TRACER
 
 #: Host-device interconnect model (PCIe gen3 x16 effective).
 PCIE_BANDWIDTH_GBS = 12.0
 PCIE_LATENCY_S = 8e-6
-
-
-@dataclass(frozen=True)
-class LaunchGeometry:
-    """Grid/work-group geometry of one kernel launch.
-
-    CUDA expresses this as (grid, block); OpenCL as (global, local).  The
-    simulated kernels receive it for padding-aware slicing and the
-    perf model uses it for work-group dispatch accounting.
-    """
-
-    global_size: Tuple[int, ...]
-    local_size: Tuple[int, ...]
-
-    @property
-    def n_workgroups(self) -> int:
-        n = 1
-        for g, l in zip(self.global_size, self.local_size):
-            if l <= 0 or g % l != 0:
-                raise ValueError(
-                    f"global size {self.global_size} not a multiple of "
-                    f"local size {self.local_size}"
-                )
-            n *= g // l
-        return n
 
 
 class BufferHandle:
@@ -69,6 +49,8 @@ class HardwareInterface(abc.ABC):
     """Uniform accelerator access for the shared implementation model."""
 
     framework_name: str = "abstract"
+    #: Keyword table the kernel program is lowered with.
+    macros: MacroSet
 
     def __init__(self, device: DeviceSpec) -> None:
         self.device = device
@@ -96,8 +78,8 @@ class HardwareInterface(abc.ABC):
 
         1. :func:`repro.accel.lower.fit_config_for_device` clamps the
            requested config to the device (the clamp-and-backstop logic
-           formerly duplicated per backend), with the variant chosen by
-           :meth:`_select_variant`;
+           formerly duplicated per backend), with the variant the
+           device runs (:func:`repro.accel.lower.variant_for`);
         2. with ``autotune`` (the default), the persistent tuning cache
            is consulted and a cached winner for this (device, states,
            precision, variant) replaces the fitted default
@@ -105,18 +87,16 @@ class HardwareInterface(abc.ABC):
            back to the fitted config on any cache problem);
         3. the static validator cross-checks the final config
            (:meth:`_validate_config`);
-        4. the portable IR is built and lowered by the backend's pass
-           (:meth:`_lowering`), and the artefact is compiled/loaded by
+        4. the portable IR is built and lowered with the framework's
+           :attr:`macros`, and the artefact is compiled/loaded by
            :meth:`_load_program`.
 
         The autotuner itself calls this with ``autotune=False`` when
         measuring candidates, so tuning never recurses into the cache.
         """
-        from repro.accel.ir import build_program_ir
-        from repro.accel.lower import fit_config_for_device
-
         fitted = fit_config_for_device(
-            config, self.device, variant=self._select_variant(config)
+            config, self.device,
+            variant=variant_for(self.device, config.variant),
         )
         if autotune:
             from repro.accel.autotune import apply_tuned_config
@@ -124,21 +104,9 @@ class HardwareInterface(abc.ABC):
             fitted = apply_tuned_config(fitted, self.device)
         self._validate_config(fitted)
         program = build_program_ir(fitted)
-        source = self._lowering(fitted).lower(program)
+        source = lowering_for(fitted, self.macros).lower(program)
         self._load_program(source, fitted)
         self._kernel_config = fitted
-
-    def _select_variant(self, config: KernelConfig) -> str:
-        """Kernel variant this framework builds for ``config``.
-
-        The default honours the request; the OpenCL interface overrides
-        it to force per-processor variants (section VII-B).
-        """
-        return config.variant
-
-    @abc.abstractmethod
-    def _lowering(self, config: KernelConfig) -> Any:
-        """The lowering pass (:class:`repro.accel.lower.Lowering`)."""
 
     @abc.abstractmethod
     def _load_program(self, source: str, config: KernelConfig) -> None:
@@ -153,8 +121,8 @@ class HardwareInterface(abc.ABC):
     def _validate_config(self, config: KernelConfig) -> None:
         """Cross-check a fitted config against the device before compiling.
 
-        The fitting helpers (`fit_pattern_block_size`,
-        `fit_workgroup_block`) should always produce a feasible config;
+        The fitting policy (:func:`repro.accel.lower.fit_config_for_device`)
+        should always produce a feasible config;
         this is the static-analysis backstop that turns any residual
         infeasibility — work-group over the device cap, local-memory
         overflow, FMA on unsupported hardware — into an error *before*

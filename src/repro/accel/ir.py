@@ -8,7 +8,7 @@ rather than another copy of the kernel text.  This module is that
 representation for the reproduction's kernel programs.
 
 An IR program (:class:`ProgramIR`) is a typed declaration of the eleven
-BEAGLE kernels for one :class:`~repro.accel.kernelgen.KernelConfig`:
+BEAGLE kernels for one :class:`KernelConfig`:
 
 * each kernel (:class:`KernelIR`) declares its parameters, its parallel
   iteration space (:class:`IterAxis` loops over patterns / states /
@@ -26,16 +26,143 @@ The IR is deliberately framework-neutral: nothing here mentions CUDA or
 OpenCL.  The per-backend lowering passes live in
 :mod:`repro.accel.lower`, :mod:`repro.accel.lower_cuda`,
 :mod:`repro.accel.lower_opencl`, and :mod:`repro.accel.lower_cpu`.
+
+The build configuration the IR is built for (:class:`KernelConfig`)
+lives here too, with the launch geometry it implies
+(:class:`LaunchGeometry`): every layer that sizes a work-group or pads
+a launch — the lowerings, the validator, the autotuner and the
+accelerated implementation — reads it from the config.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
-from repro.accel.kernelgen import KernelConfig
+
+@dataclass(frozen=True)
+class KernelConfig:
+    """One kernel-program build configuration.
+
+    Parameters mirror the knobs of BEAGLE's kernel generation, whose
+    build scripts "generate OpenCL/CUDA kernel source code for different
+    inference types ... and floating point formats, allowing for better
+    performance at runtime" (section V-C), plus the hardware-specific
+    optimisations of section VII-B.  Hardware variants differentiate
+    performance-critical structure: the ``gpu`` variant computes all
+    states of a pattern concurrently (one work-item per state); the
+    ``x86`` variant "loops over the state space in each work-item
+    instead of computing all states concurrently" and avoids explicit
+    local memory; the ``cpu`` variant is the host-vector lowering (one
+    batched product per pattern work-group).
+    """
+
+    state_count: int
+    precision: str = "double"            # "single" | "double"
+    variant: str = "gpu"                 # "gpu" | "x86" | "cpu"
+    use_fma: bool = False                # FP_FAST_FMA(F) (Table IV)
+    pattern_block_size: int = 16         # patterns per work-group (GPU)
+    workgroup_patterns: int = 256        # patterns per work-group (x86/cpu)
+    category_count: int = 4
+    #: Stage matrices/partials blocks in local memory.  High-state-count
+    #: double-precision kernels cannot fit even one pattern's staging in
+    #: any real device's local memory and fall back to global-memory
+    #: access (with the compiler/caches managing reuse).
+    use_local_memory: bool = True
+
+    def __post_init__(self) -> None:
+        if self.state_count < 2:
+            raise ValueError(f"state count {self.state_count} < 2")
+        if self.precision not in ("single", "double"):
+            raise ValueError(f"bad precision {self.precision!r}")
+        if self.variant not in ("gpu", "x86", "cpu"):
+            raise ValueError(f"bad variant {self.variant!r}")
+        if self.pattern_block_size < 1 or self.workgroup_patterns < 1:
+            raise ValueError("work-group sizes must be positive")
+
+    @property
+    def real_type(self) -> str:
+        return "float32" if self.precision == "single" else "float64"
+
+    @property
+    def itemsize(self) -> int:
+        return 4 if self.precision == "single" else 8
+
+    @property
+    def patterns_per_workgroup(self) -> int:
+        """Patterns one work-group covers: the staged block on gpu."""
+        if self.variant == "gpu":
+            return self.pattern_block_size
+        return self.workgroup_patterns
+
+    @property
+    def workgroup_size(self) -> int:
+        """Work-items per work-group the launch geometry will request.
+
+        The gpu variant runs one work-item per state of each staged
+        pattern, ``pattern_block_size × state_count``; the x86/cpu
+        variants loop over states inside one work-item per pattern.
+        """
+        if self.variant == "gpu":
+            return self.pattern_block_size * self.state_count
+        return self.workgroup_patterns
+
+    def launch_geometry(self, pattern_count: int) -> "LaunchGeometry":
+        """The partials-kernel launch, padded to whole work-groups.
+
+        gpu: a 2-D (pattern, state) grid; x86/cpu: 1-D over patterns.
+        """
+        block = self.patterns_per_workgroup
+        padded = math.ceil(pattern_count / block) * block
+        if self.variant == "gpu":
+            return LaunchGeometry(
+                (padded, self.state_count), (block, self.state_count)
+            )
+        return LaunchGeometry((padded,), (block,))
+
+    def local_memory_bytes(self) -> int:
+        """Local/shared memory one work-group needs (GPU variant).
+
+        The GPU kernel stages both transition matrices plus a block of
+        child partials in local memory: ``2 s^2 + 2 s P_blk`` reals.
+        This is the quantity that exceeds AMD's smaller local memory for
+        codon models, forcing a reduced ``pattern_block_size``
+        (section VII-B.1).
+        """
+        if not self.use_local_memory:
+            return 0
+        s = self.state_count
+        reals = 2 * s * s + 2 * s * self.pattern_block_size
+        return reals * self.itemsize
+
+
+@dataclass(frozen=True)
+class LaunchGeometry:
+    """Grid/work-group geometry of one kernel launch.
+
+    CUDA expresses this as (grid, block); OpenCL as (global, local).  The
+    simulated kernels receive it for padding-aware slicing and the
+    perf model uses it for work-group dispatch accounting.
+    """
+
+    global_size: Tuple[int, ...]
+    local_size: Tuple[int, ...]
+
+    @property
+    def n_workgroups(self) -> int:
+        n = 1
+        for g, l in zip(self.global_size, self.local_size):
+            if l <= 0 or g % l != 0:
+                raise ValueError(
+                    f"global size {self.global_size} not a multiple of "
+                    f"local size {self.local_size}"
+                )
+            n *= g // l
+        return n
+
 
 #: Every kernel program must define exactly these entry points: the
 #: launch sites in :mod:`repro.impl.accelerated` resolve them by name.

@@ -2,11 +2,10 @@
 
 One :class:`Lowering` walks a :class:`~repro.accel.ir.ProgramIR` and
 emits the kernel-program artefact the simulated frameworks compile with
-:func:`~repro.accel.kernelgen.compile_kernel_program`.  The backends
-subclass it (:mod:`repro.accel.lower_cuda`,
-:mod:`repro.accel.lower_opencl`, :mod:`repro.accel.lower_cpu`) and differ
-only where the paper says they must: framework keywords
-(:class:`~repro.accel.kernelgen.MacroSet`), per-backend launch
+:func:`compile_kernel_program`.  The backends subclass it
+(:mod:`repro.accel.lower_cuda`, :mod:`repro.accel.lower_opencl`,
+:mod:`repro.accel.lower_cpu`) and differ only where the paper says they
+must: framework keywords (:class:`MacroSet`), per-backend launch
 decorations, and the realisation of the states-reduction inner product.
 
 **Bit-identity contract.**  The numeric realisations of every IR
@@ -19,17 +18,22 @@ variant issues — which is what makes cross-backend log-likelihoods
 bit-identical on double-precision fixtures (see
 ``tests/test_ir_lowering.py``).
 
-This module also hosts :func:`fit_config_for_device` — the single
-clamp-and-backstop fitting policy that was previously copied between
-``CudaInterface.build_program``, ``OpenCLInterface.build_program``, and
-``KernelConfigValidator.suggest``.
+This module also holds every per-device build decision (sections
+VII-B.1/2): :func:`variant_for` picks the kernel variant a device runs,
+and :func:`fit_config_for_device` is the single clamp-and-backstop
+fitting policy that ``HardwareInterface.build_program``,
+``KernelConfigValidator.suggest`` and the autotuner all apply.  A
+kernel program is built as ``lowering_for(config, macros).lower(
+build_program_ir(config))`` and loaded with
+:func:`compile_kernel_program`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional
 
-from repro.accel.device import DeviceSpec
+from repro.accel.device import DeviceSpec, ProcessorType
 from repro.accel.ir import (
     AccumulateLogFactors,
     Barrier,
@@ -39,6 +43,7 @@ from repro.accel.ir import (
     GradientReduce,
     Guarded,
     InnerProduct,
+    KernelConfig,
     KernelIR,
     LocalTile,
     LogWithScale,
@@ -49,17 +54,134 @@ from repro.accel.ir import (
     StateGather,
     Stmt,
 )
-from repro.accel.kernelgen import (
-    KernelConfig,
-    MacroSet,
-    fit_pattern_block_size,
-    fit_workgroup_block,
-    fits_local_memory,
-)
 
 # ---------------------------------------------------------------------------
-# Shared configuration fitting (the former cuda/opencl duplicate)
+# Framework macro sets
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MacroSet:
+    """Framework keyword definitions, one instance per framework.
+
+    Mirrors BEAGLE's ``GPUImplDefs.h`` keyword tables: the same template
+    token expands to the framework's native qualifier.  The expansion
+    lands in generated-source comments and decorator metadata so the
+    artefact records which framework it was built for; array semantics
+    are identical, which is the point of the shared design.
+    """
+
+    framework: str
+    kw_global_kernel: str       # e.g. "__global__" vs "__kernel"
+    kw_device_mem: str          # "CUdeviceptr" vs "__global REAL*"
+    kw_local_mem: str           # "__shared__" vs "__local"
+    kw_thread_fence: str        # "__syncthreads()" vs "barrier(...)"
+    subpointer_strategy: str    # "pointer-arithmetic" vs "sub-buffer"
+
+
+CUDA_MACROS = MacroSet(
+    framework="CUDA",
+    kw_global_kernel="__global__",
+    kw_device_mem="CUdeviceptr",
+    kw_local_mem="__shared__",
+    kw_thread_fence="__syncthreads()",
+    subpointer_strategy="pointer-arithmetic",
+)
+
+OPENCL_MACROS = MacroSet(
+    framework="OpenCL",
+    kw_global_kernel="__kernel",
+    kw_device_mem="__global REAL*",
+    kw_local_mem="__local",
+    kw_thread_fence="barrier(CLK_LOCAL_MEM_FENCE)",
+    subpointer_strategy="sub-buffer",
+)
+
+
+def compile_kernel_program(source: str) -> Dict[str, Callable]:
+    """Compile generated kernel source into callable entry points.
+
+    ``exec`` plays the role of the CUDA JIT / OpenCL runtime compiler:
+    the artefact being compiled is genuinely the generated text, so a
+    template bug is a build failure here just as it would be on device.
+    """
+    namespace: Dict[str, object] = {}
+    exec(compile(source, "<beagle-kernels>", "exec"), namespace)
+    kernels = namespace.get("KERNELS")
+    if not isinstance(kernels, dict) or not kernels:
+        raise ValueError("kernel program defines no KERNELS table")
+    return kernels  # type: ignore[return-value]
+
+
+# ---------------------------------------------------------------------------
+# Per-device accommodations (sections VII-B.1/2)
+# ---------------------------------------------------------------------------
+
+
+def variant_for(device: DeviceSpec, requested: str) -> str:
+    """The kernel variant ``device`` runs for a ``requested`` variant.
+
+    CPU devices run the loop-over-states ``x86`` variant unless the
+    host-vector ``cpu`` lowering was requested; every other device runs
+    the concurrent-states ``gpu`` variant (section VII-B).
+    """
+    if device.processor == ProcessorType.CPU:
+        return "cpu" if requested == "cpu" else "x86"
+    return "gpu"
+
+
+def fit_pattern_block_size(
+    state_count: int,
+    precision: str,
+    local_mem_kb: float,
+    preferred: int = 16,
+) -> int:
+    """Largest power-of-two patterns-per-work-group that fits local memory.
+
+    Reproduces the AMD codon-model accommodation of section VII-B.1: "we
+    had to reduce the number of sequence patterns computed per work-group
+    ... to reduce memory usage in the local address space".  Returns 1 if
+    even one pattern per work-group overflows (see
+    :func:`fits_local_memory` for the staging on/off decision).
+    """
+    if local_mem_kb <= 0:
+        return preferred
+    block = preferred
+    while block > 1 and not fits_local_memory(
+        state_count, precision, local_mem_kb, block
+    ):
+        block //= 2
+    return block
+
+
+def fit_workgroup_block(
+    block: int, state_count: int, max_workgroup_size: int
+) -> int:
+    """Halve a GPU pattern block until ``block × states`` fits the device.
+
+    The gpu-variant work-group runs one work-item per state of each
+    staged pattern (:attr:`KernelConfig.workgroup_size`); AMD GCN caps
+    work-groups at 256 work-items where NVIDIA allows 1024, which bites
+    codon models (61 states) first.
+    """
+    if max_workgroup_size <= 0:
+        return block
+    while block > 1 and block * state_count > max_workgroup_size:
+        block //= 2
+    return block
+
+
+def fits_local_memory(
+    state_count: int, precision: str, local_mem_kb: float, block: int
+) -> bool:
+    """Whether local-memory staging fits at all for this configuration."""
+    if local_mem_kb <= 0:
+        return False
+    cfg = KernelConfig(
+        state_count=state_count, precision=precision,
+        pattern_block_size=block,
+    )
+    return cfg.local_memory_bytes() <= local_mem_kb * 1024
 
 
 def fit_config_for_device(
@@ -79,11 +201,11 @@ def fit_config_for_device(
     * FMA only on hardware that has it (Table IV);
     * ``workgroup_patterns`` clamped to the device work-group cap.
 
-    ``variant`` overrides the requested kernel variant (the OpenCL
-    interface forces it per processor type).  This is the one fitting
-    policy shared by every backend's ``build_program``, by
-    ``KernelConfigValidator.suggest``, and by the autotuner's candidate
-    enumeration — previously three copies.
+    ``variant`` overrides the requested kernel variant; the builders
+    pass :func:`variant_for`'s choice.  This is the one fitting policy
+    shared by every backend's ``build_program``, by
+    ``KernelConfigValidator.suggest`` and its diagnostics' suggested
+    numbers, and by the autotuner's candidate enumeration.
     """
     fitted_variant = config.variant if variant is None else variant
     block = fit_pattern_block_size(
@@ -201,12 +323,6 @@ class Lowering:
             "STATE_COUNT": self.config.state_count,
         }
 
-    def workgroup_size(self) -> int:
-        """Work-items per work-group the launch geometry will request."""
-        if self.config.variant == "gpu":
-            return self.config.pattern_block_size * self.config.state_count
-        return self.config.workgroup_patterns
-
     def inner_product_body(self) -> str:
         return _INNER_BY_VARIANT[self.config.variant].format(
             **self.macro_map()
@@ -245,11 +361,7 @@ class Lowering:
                 + format_diagnostics(errors)
             )
         config = self.config
-        pattern_block = (
-            config.pattern_block_size
-            if config.variant == "gpu"
-            else config.workgroup_patterns
-        )
+        pattern_block = config.patterns_per_workgroup
         local_bytes = (
             config.local_memory_bytes() if config.variant == "gpu" else 0
         )

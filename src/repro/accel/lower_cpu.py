@@ -36,6 +36,6 @@ class CPUVectorLowering(Lowering):
 
     def header_extra(self) -> List[str]:
         return [
-            f"# host SIMD dispatch  = {self.workgroup_size()} "
+            f"# host SIMD dispatch  = {self.config.workgroup_size} "
             "patterns per work-group",
         ]

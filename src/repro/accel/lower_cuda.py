@@ -33,5 +33,5 @@ class CudaLowering(Lowering):
 
     def header_extra(self) -> List[str]:
         return [
-            f"# __launch_bounds__  = {self.workgroup_size()}",
+            f"# __launch_bounds__  = {self.config.workgroup_size}",
         ]

@@ -28,7 +28,7 @@ class OpenCLLowering(Lowering):
     supported_variants = ("gpu", "x86")
 
     def header_extra(self) -> List[str]:
-        wg = self.workgroup_size()
+        wg = self.config.workgroup_size
         return [
             f"# reqd_work_group_size = ({wg}, 1, 1)",
         ]

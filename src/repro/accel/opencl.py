@@ -30,11 +30,8 @@ from repro.accel.framework import (
     HardwareInterface,
     LaunchGeometry,
 )
-from repro.accel.kernelgen import (
-    OPENCL_MACROS,
-    KernelConfig,
-    compile_kernel_program,
-)
+from repro.accel.ir import KernelConfig
+from repro.accel.lower import OPENCL_MACROS, compile_kernel_program
 from repro.accel.perfmodel import (
     KernelCost,
     SimulatedClock,
@@ -355,6 +352,7 @@ class OpenCLInterface(HardwareInterface):
     """
 
     framework_name = "OpenCL"
+    macros = OPENCL_MACROS
 
     def __init__(self, device: DeviceSpec) -> None:
         super().__init__(device)
@@ -363,22 +361,6 @@ class OpenCLInterface(HardwareInterface):
         self.clock = self.queue.clock
         self._program: Optional[CLProgram] = None
         self._kernels: Dict[str, CLKernel] = {}
-
-    def _select_variant(self, config: KernelConfig) -> str:
-        """Per-processor variant (section VII-B).
-
-        CPU devices run the loop-over-states ``x86`` variant unless the
-        caller explicitly requested the host-vector ``cpu`` lowering;
-        GPU devices always get the concurrent-states ``gpu`` variant.
-        """
-        if self.device.processor == ProcessorType.CPU:
-            return "cpu" if config.variant == "cpu" else "x86"
-        return "gpu"
-
-    def _lowering(self, config: KernelConfig):
-        from repro.accel.lower import lowering_for
-
-        return lowering_for(config, OPENCL_MACROS)
 
     def _load_program(self, source: str, config: KernelConfig) -> None:
         self._program = clCreateProgramWithSource(self.ctx, source)

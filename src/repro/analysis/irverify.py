@@ -56,6 +56,7 @@ from repro.accel.ir import (
     FusedDispatch,
     GradientReduce,
     InnerProduct,
+    KernelConfig,
     KernelIR,
     LocalTile,
     LogWithScale,
@@ -66,7 +67,6 @@ from repro.accel.ir import (
     Stmt,
     walk_stmts,
 )
-from repro.accel.kernelgen import KernelConfig
 from repro.analysis.diagnostics import Diagnostic, Severity
 
 __all__ = ["verify_kernel_ir", "verify_program_ir"]

@@ -17,11 +17,13 @@ parameters have hard feasibility constraints:
 * ``FP_FAST_FMA`` requires hardware FMA (Nehalem-era CPUs lack it).
 
 :class:`KernelConfigValidator` checks a
-:class:`~repro.accel.kernelgen.KernelConfig` against one
-:class:`~repro.accel.device.DeviceSpec` and, for every violation, also
-computes the accommodation :func:`suggest_kernel_config` would apply —
-the same fitting logic ``build_program`` uses, exposed as a static
-check so misconfigurations surface before any build.
+:class:`~repro.accel.ir.KernelConfig` against one
+:class:`~repro.accel.device.DeviceSpec`.  It owns no sizing rule of its
+own: the work-group size is :attr:`KernelConfig.workgroup_size`, and
+every number a diagnostic suggests comes from
+:func:`~repro.accel.lower.fit_config_for_device` — the same fitting
+``build_program`` applies, exposed as a static check so
+misconfigurations surface before any build.
 """
 
 from __future__ import annotations
@@ -29,24 +31,11 @@ from __future__ import annotations
 from typing import List
 
 from repro.accel.device import DeviceSpec, ProcessorType
-from repro.accel.kernelgen import KernelConfig, fit_pattern_block_size
+from repro.accel.ir import KernelConfig
+from repro.accel.lower import fit_config_for_device, variant_for
 from repro.analysis.diagnostics import Diagnostic, Severity
 
 _SOURCE = "kernel"
-
-
-def _workgroup_size(config: KernelConfig) -> int:
-    """Work-items per work-group the launch geometry will request."""
-    if config.variant == "gpu":
-        return config.pattern_block_size * config.state_count
-    return config.workgroup_patterns
-
-
-def _fit_block_to_workgroup(config: KernelConfig, limit: int) -> int:
-    block = config.pattern_block_size
-    while block > 1 and block * config.state_count > limit:
-        block //= 2
-    return block
 
 
 class KernelConfigValidator:
@@ -60,21 +49,22 @@ class KernelConfigValidator:
         out: List[Diagnostic] = []
         device = self.device
         name = device.name
+        # Suggested numbers: local staging and its block only exist for
+        # the gpu variant, so fit as one.
+        fitted = fit_config_for_device(config, device, variant="gpu")
 
-        wg = _workgroup_size(config)
+        wg = config.workgroup_size
         if wg > device.max_workgroup_size:
             if config.variant == "gpu":
-                fitted = _fit_block_to_workgroup(
-                    config, device.max_workgroup_size
-                )
                 suggestion = (
-                    f"reduce pattern_block_size to {fitted} "
-                    f"({fitted * config.state_count} work-items)"
+                    "reduce pattern_block_size to "
+                    f"{fitted.pattern_block_size} "
+                    f"({fitted.workgroup_size} work-items)"
                 )
             else:
                 suggestion = (
                     f"reduce workgroup_patterns to "
-                    f"{device.max_workgroup_size}"
+                    f"{fitted.workgroup_patterns}"
                 )
             out.append(Diagnostic(
                 severity=Severity.ERROR,
@@ -108,20 +98,11 @@ class KernelConfigValidator:
                 budget = int(device.local_mem_kb * 1024)
                 need = config.local_memory_bytes()
                 if need > budget:
-                    fitted = fit_pattern_block_size(
-                        config.state_count, config.precision,
-                        device.local_mem_kb,
-                        preferred=config.pattern_block_size,
-                    )
-                    refit = KernelConfig(
-                        state_count=config.state_count,
-                        precision=config.precision,
-                        pattern_block_size=fitted,
-                    )
-                    if refit.local_memory_bytes() <= budget:
+                    if fitted.use_local_memory:
                         suggestion = (
-                            f"reduce patterns-per-work-group to {fitted} "
-                            f"({refit.local_memory_bytes()} B fits)"
+                            "reduce patterns-per-work-group to "
+                            f"{fitted.pattern_block_size} "
+                            f"({fitted.local_memory_bytes()} B fits)"
                         )
                     else:
                         suggestion = (
@@ -192,23 +173,18 @@ class KernelConfigValidator:
     def suggest(self, config: KernelConfig) -> KernelConfig:
         """The nearest feasible configuration for this device.
 
-        Chooses the variant the device wants (the host-vector ``cpu``
-        variant is honoured on CPU devices; other CPU requests get
-        ``x86``; GPUs get ``gpu``) and delegates the clamping —
-        FMA only where supported, local staging only where it exists
-        and fits, patterns-per-work-group reduced until both the
-        local-memory and work-group limits hold — to
-        :func:`repro.accel.lower.fit_config_for_device`, the same
-        shared policy ``build_program`` applies dynamically.
+        Exactly what ``build_program`` builds without the tuning cache:
+        the variant the device runs (:func:`repro.accel.lower
+        .variant_for`), clamped by
+        :func:`repro.accel.lower.fit_config_for_device` — FMA only where
+        supported, local staging only where it exists and fits,
+        patterns-per-work-group reduced until both the local-memory and
+        work-group limits hold.
         """
-        from repro.accel.lower import fit_config_for_device
-
-        device = self.device
-        if device.processor == ProcessorType.CPU:
-            variant = "cpu" if config.variant == "cpu" else "x86"
-        else:
-            variant = "gpu"
-        return fit_config_for_device(config, device, variant=variant)
+        return fit_config_for_device(
+            config, self.device,
+            variant=variant_for(self.device, config.variant),
+        )
 
 
 def validate_kernel_config(

@@ -60,6 +60,78 @@ from repro.core.manager import default_manager
 from repro.core.types import InstanceConfig
 from repro.util.tables import format_table
 
+#: Backend names listed in the ``--backend`` help strings.
+_BACKEND_NAMES = (
+    "cpu-serial, cpu-sse, cpp-threads, opencl-x86, opencl-gpu, cuda"
+)
+
+
+def _add_workload_args(
+    parser: argparse.ArgumentParser,
+    backend: str,
+    taxa: int,
+    patterns: int,
+    backend_help: Optional[str] = None,
+    json_help: Optional[str] = None,
+) -> None:
+    """``--backend``/``--taxa``/``--patterns``/``--seed`` (and ``--json``
+    when ``json_help`` is given) with one command's defaults."""
+    parser.add_argument("--backend", default=backend, help=backend_help)
+    parser.add_argument("--taxa", type=int, default=taxa)
+    parser.add_argument("--patterns", type=int, default=patterns)
+    parser.add_argument("--seed", type=int, default=1)
+    if json_help is not None:
+        parser.add_argument("--json", metavar="PATH", help=json_help)
+
+
+def _add_retry_args(parser: argparse.ArgumentParser, probe_help: str) -> None:
+    """The failover drills' ``--max-attempts``/``--probe-interval``."""
+    parser.add_argument("--max-attempts", type=int, default=3,
+                        help="RetryPolicy bound on in-place retries")
+    parser.add_argument("--probe-interval", type=int, default=0,
+                        help=probe_help)
+
+
+def _unknown_backend(name: str) -> bool:
+    """True (after printing why) when ``name`` names no backend."""
+    from repro.config import backend_flags
+
+    try:
+        backend_flags(name)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return True
+    return False
+
+
+def _synthetic_workload(args: argparse.Namespace, states: int = 4):
+    """The seeded (tree, pattern set) pair a drill runs on."""
+    from repro.seq.simulate import synthetic_pattern_set
+    from repro.tree.generate import yule_tree
+
+    tree = yule_tree(args.taxa, rng=args.seed)
+    data = synthetic_pattern_set(
+        args.taxa, args.patterns, states, rng=args.seed + 1
+    )
+    return tree, data
+
+
+def _unrecovered(exc: Exception) -> int:
+    """Report a failure the drill did not recover from; exit status 1."""
+    from repro.core.api import beagle_get_last_error_message
+
+    print(f"UNRECOVERED: {type(exc).__name__}: {exc}", file=sys.stderr)
+    print(f"error surface: {beagle_get_last_error_message()}",
+          file=sys.stderr)
+    return 1
+
+
+def _write_report(path: str, report: dict, lead: str = "\n") -> None:
+    """Write a drill report as indented JSON and say where."""
+    with open(path, "w") as fh:
+        json.dump(report, fh, indent=2)
+    print(f"{lead}wrote report to {path}")
+
 
 def info_main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
@@ -82,12 +154,8 @@ def info_main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.kernels:
-        from repro.accel.kernelgen import (
-            CUDA_MACROS,
-            OPENCL_MACROS,
-            KernelConfig,
-            generate_kernel_source,
-        )
+        from repro.accel.ir import KernelConfig, build_program_ir
+        from repro.accel.lower import CUDA_MACROS, OPENCL_MACROS, lowering_for
 
         if args.kernels == "cuda" and args.variant == "cpu":
             print("the cpu (host-vector) variant lowers through OpenCL; "
@@ -98,7 +166,7 @@ def info_main(argv: Optional[List[str]] = None) -> int:
             state_count=args.states, precision=args.precision,
             variant=args.variant,
         )
-        print(generate_kernel_source(config, macros))
+        print(lowering_for(config, macros).lower(build_program_ir(config)))
         return 0
 
     manager = default_manager()
@@ -200,13 +268,10 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
         prog="pybeagle-trace",
         description="Run a traced likelihood workload and profile it",
     )
-    parser.add_argument(
-        "--backend", default="auto",
-        help="backend name (auto, cpu-serial, cpu-sse, cpp-threads, "
-             "opencl-x86, opencl-gpu, cuda)",
+    _add_workload_args(
+        parser, backend="auto", taxa=16, patterns=1000,
+        backend_help=f"backend name (auto, {_BACKEND_NAMES})",
     )
-    parser.add_argument("--taxa", type=int, default=16)
-    parser.add_argument("--patterns", type=int, default=1000)
     parser.add_argument("--states", type=int, default=4)
     parser.add_argument("--reps", type=int, default=3,
                         help="likelihood evaluations to run")
@@ -224,37 +289,19 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
         "--metrics-jsonl", metavar="PATH",
         help="also export the metrics snapshot as JSON lines",
     )
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
 
-    from repro.model import GTR, HKY85
-    from repro.seq.simulate import synthetic_pattern_set
-    from repro.session import Session, backend_flags
-    from repro.tree.generate import yule_tree
+    from repro.model import HKY85
+    from repro.session import Session
 
-    try:
-        backend_flags(args.backend)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
+    if _unknown_backend(args.backend):
         return 2
 
-    tree = yule_tree(args.taxa, rng=args.seed)
-    data = synthetic_pattern_set(
-        args.taxa, args.patterns, args.states, rng=args.seed + 1
-    )
-    if args.states == 4:
-        model = HKY85(kappa=2.0)
-    else:
-        import numpy as np
-
-        rng = np.random.default_rng(args.seed)
-        n = args.states
-        rates = rng.uniform(0.5, 2.0, n * (n - 1) // 2)
-        freqs = rng.dirichlet(np.full(n, 10.0))
-        model = GTR(rates, freqs) if n == 4 else None
-    if model is None:
+    tree, data = _synthetic_workload(args, args.states)
+    if args.states != 4:
         print("only --states 4 is supported", file=sys.stderr)
         return 2
+    model = HKY85(kappa=2.0)
 
     backend = None if args.backend == "auto" else args.backend
     with Session(
@@ -322,10 +369,7 @@ def verify_main(argv: Optional[List[str]] = None) -> int:
         "--strict", action="store_true",
         help="exit non-zero if any error-severity diagnostic remains",
     )
-    parser.add_argument("--backend", default="auto")
-    parser.add_argument("--taxa", type=int, default=8)
-    parser.add_argument("--patterns", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=1)
+    _add_workload_args(parser, backend="auto", taxa=8, patterns=200)
     args = parser.parse_args(argv)
 
     from repro.analysis import (
@@ -344,19 +388,11 @@ def verify_main(argv: Optional[List[str]] = None) -> int:
 
     if args.plan or run_all:
         from repro.model import HKY85
-        from repro.seq.simulate import synthetic_pattern_set
-        from repro.session import Session, backend_flags
-        from repro.tree.generate import yule_tree
+        from repro.session import Session
 
-        try:
-            backend_flags(args.backend)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
+        if _unknown_backend(args.backend):
             return 2
-        tree = yule_tree(args.taxa, rng=args.seed)
-        data = synthetic_pattern_set(
-            args.taxa, args.patterns, 4, rng=args.seed + 1
-        )
+        tree, data = _synthetic_workload(args)
         backend = None if args.backend == "auto" else args.backend
         with Session(data, tree, HKY85(kappa=2.0), backend=backend) as s:
             diags = s.verify()
@@ -371,7 +407,7 @@ def verify_main(argv: Optional[List[str]] = None) -> int:
 
     if args.kernels or run_all:
         from repro.accel.device import DEVICE_CATALOG, ProcessorType
-        from repro.accel.kernelgen import KernelConfig
+        from repro.accel.ir import KernelConfig
 
         print("kernel-config validation (device catalog sweep):")
         for device in DEVICE_CATALOG.values():
@@ -415,13 +451,13 @@ def verify_main(argv: Optional[List[str]] = None) -> int:
         print()
 
     if args.ir or run_all:
-        from repro.accel.ir import IRError, build_program_ir
-        from repro.accel.kernelgen import (
+        from repro.accel.ir import IRError, KernelConfig, build_program_ir
+        from repro.accel.lower import (
             CUDA_MACROS,
-            KernelConfig,
             OPENCL_MACROS,
+            LoweringError,
+            lowering_for,
         )
-        from repro.accel.lower import LoweringError, lowering_for
         from repro.analysis.irverify import verify_program_ir
 
         print("kernel-IR dataflow verification (catalog sweep):")
@@ -448,12 +484,10 @@ def verify_main(argv: Optional[List[str]] = None) -> int:
                     d for d in diags if d.severity is Severity.ERROR
                 )
                 macro_sets = (
-                    [CUDA_MACROS, OPENCL_MACROS]
-                    if variant == "gpu"
-                    else [OPENCL_MACROS]
+                    [OPENCL_MACROS]
+                    if variant == "x86"
+                    else [CUDA_MACROS, OPENCL_MACROS]
                 )
-                if variant == "cpu":
-                    macro_sets = [CUDA_MACROS, OPENCL_MACROS]
                 lowered = []
                 for macros in macro_sets:
                     try:
@@ -515,28 +549,20 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--devices", type=int, default=2,
                         help="simulated device count (labels dev0..devN-1)")
-    parser.add_argument(
-        "--backend", default="cuda",
-        help="backend name for every device (cpu-serial, cpu-sse, "
-             "cpp-threads, opencl-x86, opencl-gpu, cuda)",
+    _add_workload_args(
+        parser, backend="cuda", taxa=16, patterns=2000,
+        backend_help=f"backend name for every device ({_BACKEND_NAMES})",
+        json_help="write the full drill report as JSON",
     )
-    parser.add_argument("--taxa", type=int, default=16)
-    parser.add_argument("--patterns", type=int, default=2000)
     parser.add_argument("--evaluations", type=int, default=4)
-    parser.add_argument("--max-attempts", type=int, default=3,
-                        help="RetryPolicy bound on in-place retries")
-    parser.add_argument(
-        "--probe-interval", type=int, default=0,
-        help="probe quarantined devices every N evaluations (0: never)",
+    _add_retry_args(
+        parser, "probe quarantined devices every N evaluations (0: never)"
     )
     parser.add_argument(
         "--level", default="auto",
         choices=("auto", "hardware", "wrapper"),
         help="where the fault plan is installed (see repro.resil.faults)",
     )
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--json", metavar="PATH",
-                        help="write the full drill report as JSON")
     args = parser.parse_args(argv)
 
     from dataclasses import asdict
@@ -544,14 +570,9 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
     from repro.model import HKY85
     from repro.partition.multi import MultiDeviceLikelihood
     from repro.resil import FaultEvent, FaultPlan, RetryPolicy
-    from repro.seq.simulate import synthetic_pattern_set
     from repro.session import Session, backend_flags
-    from repro.tree.generate import yule_tree
 
-    try:
-        backend_flags(args.backend)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
+    if _unknown_backend(args.backend):
         return 2
     if args.devices < 2:
         print("need --devices >= 2 for a failover drill", file=sys.stderr)
@@ -582,9 +603,7 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
         probe_interval=args.probe_interval,
         seed=plan.seed,
     )
-    tree = yule_tree(args.taxa, rng=args.seed)
-    data = synthetic_pattern_set(args.taxa, args.patterns, 4,
-                                 rng=args.seed + 1)
+    tree, data = _synthetic_workload(args)
     model = HKY85(kappa=2.0)
     requests = {f"dev{i}": args.backend for i in range(args.devices)}
 
@@ -601,13 +620,7 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
             for i in range(args.evaluations):
                 lls.append(md.log_likelihood())
         except Exception as exc:
-            from repro.core.api import beagle_get_last_error_message
-
-            print(f"UNRECOVERED: {type(exc).__name__}: {exc}",
-                  file=sys.stderr)
-            print(f"error surface: {beagle_get_last_error_message()}",
-                  file=sys.stderr)
-            return 1
+            return _unrecovered(exc)
         rows = [[label, impl, str(n)] for label, impl, n
                 in md.device_report()]
         print(format_table(
@@ -682,9 +695,7 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
             },
             "metrics": resil_metrics,
         }
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=2)
-        print(f"\nwrote report to {args.json}")
+        _write_report(args.json, report)
 
     return 0 if parity_ok else 1
 
@@ -700,13 +711,11 @@ def cluster_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--nodes", type=int, default=3,
                         help="worker-node count (labels node0..nodeN-1)")
     parser.add_argument("--devices-per-node", type=int, default=1)
-    parser.add_argument(
-        "--backend", default="cuda",
-        help="backend name for every device (cpu-serial, cpu-sse, "
-             "cpp-threads, opencl-x86, opencl-gpu, cuda)",
+    _add_workload_args(
+        parser, backend="cuda", taxa=16, patterns=2000,
+        backend_help=f"backend name for every device ({_BACKEND_NAMES})",
+        json_help="write the full drill report as JSON",
     )
-    parser.add_argument("--taxa", type=int, default=16)
-    parser.add_argument("--patterns", type=int, default=2000)
     parser.add_argument("--shards", type=int, default=None,
                         help="shards per job (default: 2x device count)")
     parser.add_argument("--evaluations", type=int, default=3)
@@ -716,17 +725,11 @@ def cluster_main(argv: Optional[List[str]] = None) -> int:
         help="fault script: the last node is lost mid-run / runs slow / "
              "nothing is injected",
     )
-    parser.add_argument("--max-attempts", type=int, default=3,
-                        help="RetryPolicy bound on in-place retries")
-    parser.add_argument(
-        "--probe-interval", type=int, default=0,
-        help="probe quarantined nodes every N dispatch rounds (0: never)",
+    _add_retry_args(
+        parser, "probe quarantined nodes every N dispatch rounds (0: never)"
     )
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--trace", action="store_true",
                         help="print the cluster span tree")
-    parser.add_argument("--json", metavar="PATH",
-                        help="write the full drill report as JSON")
     args = parser.parse_args(argv)
 
     from dataclasses import asdict
@@ -734,14 +737,8 @@ def cluster_main(argv: Optional[List[str]] = None) -> int:
     from repro.cluster import ClusterSession
     from repro.model import HKY85
     from repro.resil import FaultEvent, FaultPlan, RetryPolicy
-    from repro.seq.simulate import synthetic_pattern_set
-    from repro.session import backend_flags
-    from repro.tree.generate import yule_tree
 
-    try:
-        backend_flags(args.backend)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
+    if _unknown_backend(args.backend):
         return 2
     if args.nodes < 1:
         print("need --nodes >= 1", file=sys.stderr)
@@ -769,9 +766,7 @@ def cluster_main(argv: Optional[List[str]] = None) -> int:
         seed=args.seed,
     )
 
-    tree = yule_tree(args.taxa, rng=args.seed)
-    data = synthetic_pattern_set(args.taxa, args.patterns, 4,
-                                 rng=args.seed + 1)
+    tree, data = _synthetic_workload(args)
     model = HKY85(kappa=2.0)
     fleet = {
         f"node{i}": {
@@ -794,13 +789,7 @@ def cluster_main(argv: Optional[List[str]] = None) -> int:
             for _ in range(args.evaluations):
                 lls.append(cs.log_likelihood())
         except Exception as exc:
-            from repro.core.api import beagle_get_last_error_message
-
-            print(f"UNRECOVERED: {type(exc).__name__}: {exc}",
-                  file=sys.stderr)
-            print(f"error surface: {beagle_get_last_error_message()}",
-                  file=sys.stderr)
-            return 1
+            return _unrecovered(exc)
         rows = [
             [name, str(capacity), f"{rate:.1f}", str(completed)]
             for name, capacity, rate, completed in cs.node_report()
@@ -870,9 +859,7 @@ def cluster_main(argv: Optional[List[str]] = None) -> int:
             "utilization": utilization,
             "metrics": cluster_metrics,
         }
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=2)
-        print(f"\nwrote report to {args.json}")
+        _write_report(args.json, report)
 
     if not parity_ok:
         return 1
@@ -891,12 +878,10 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--tenants", type=int, default=3)
     parser.add_argument("--requests", type=int, default=8,
                         help="requests per tenant")
-    parser.add_argument("--taxa", type=int, default=12)
-    parser.add_argument("--patterns", type=int, default=1000)
-    parser.add_argument(
-        "--backend", default="cpu-serial",
-        help="backend name (cpu-serial, cpu-sse, cpp-threads, "
-             "opencl-x86, opencl-gpu, cuda)",
+    _add_workload_args(
+        parser, backend="cpu-serial", taxa=12, patterns=1000,
+        backend_help=f"backend name ({_BACKEND_NAMES})",
+        json_help="write the full report as JSON",
     )
     parser.add_argument("--pool", type=int, default=2,
                         help="warm instances per pool key")
@@ -914,9 +899,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         "--p99-budget", type=float, default=None, metavar="S",
         help="fail (exit 1) if any tenant's p99 exceeds this budget",
     )
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--json", metavar="PATH",
-                        help="write the full report as JSON")
     args = parser.parse_args(argv)
 
     from repro.config import SessionConfig
@@ -925,13 +907,9 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     from repro.resil import FaultEvent, FaultPlan, RetryPolicy
     from repro.seq.simulate import synthetic_pattern_set
     from repro.serve import LikelihoodServer
-    from repro.session import backend_flags
     from repro.tree.generate import yule_tree
 
-    try:
-        backend_flags(args.backend)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
+    if _unknown_backend(args.backend):
         return 2
     if args.tenants < 2:
         print("need --tenants >= 2 for a multi-tenant drill",
@@ -1052,9 +1030,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
             "parity_ok": parity_ok,
             "worst_p99_s": worst_p99,
         }
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=2)
-        print(f"wrote report to {args.json}")
+        _write_report(args.json, report, lead="")
 
     if not parity_ok:
         return 1
@@ -1179,9 +1155,7 @@ def tune_main(argv: Optional[List[str]] = None) -> int:
             "cache_path": str(cache.path),
             "records": records,
         }
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=2)
-        print(f"wrote report to {args.json}")
+        _write_report(args.json, report, lead="")
 
     if args.assert_gain:
         losers = [r for r in records if r["gain"] < 1.0]

@@ -13,9 +13,9 @@ validated dataclass that :class:`~repro.session.Session`,
     with repro.Session(data, tree, model, config=cfg) as s:
         print(s.log_likelihood())
 
-The legacy keyword spellings still work — they are a thin compatibility
-shim that builds a :class:`SessionConfig` internally via
-:meth:`SessionConfig.from_kwargs` — so existing callers see no change
+The keyword spellings (``Session(data, tree, model, backend=...)``)
+stay supported — they build a :class:`SessionConfig` internally via
+:meth:`SessionConfig.from_kwargs` — so keyword callers see no change
 while new code (and the multi-tenant server, which must hash and
 compare tenant configurations) gets a canonical, comparable object.
 """
@@ -256,7 +256,7 @@ class SessionConfig:
         if self.is_multi_device:
             raise ValueError(
                 "a multi-device config has no single-instance kwargs; "
-                "use device_request_kwargs()/multi_device_kwargs()"
+                "use device_request_kwargs()"
             )
         kwargs: Dict[str, Any] = dict(backend_flags(self.backend))
         kwargs.update(self.extra)
@@ -286,32 +286,11 @@ class SessionConfig:
             out[label] = kwargs
         return out
 
-    def multi_device_kwargs(self) -> Dict[str, Any]:
-        """Keyword arguments for ``MultiDeviceSession`` (legacy shape)."""
-        if not self.is_multi_device:
-            raise ValueError("not a multi-device config (devices is None)")
-        return dict(
-            device_requests=self.device_request_kwargs(),
-            proportions=(
-                list(self.proportions) if self.proportions else None
-            ),
-            rebalance=self.rebalance,
-            threshold=self.rebalance_threshold,
-            seed_backends=(
-                list(self.seed_backends) if self.seed_backends else None
-            ),
-            deferred=self.deferred,
-            trace=self.trace,
-            retry_policy=self.retry_policy,
-            fault_plan=self.fault_plan,
-            fault_level=self.fault_level,
-        )
-
     def replace(self, **changes: Any) -> "SessionConfig":
         """A copy with *changes* applied (re-validated)."""
         return dataclasses.replace(self, **changes)
 
-    # -- compatibility shim ------------------------------------------------
+    # -- keyword spellings -------------------------------------------------
 
     @classmethod
     def from_kwargs(

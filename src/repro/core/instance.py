@@ -8,7 +8,6 @@ pointers).  The C-style functional facade lives in :mod:`repro.core.api`.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -515,27 +514,9 @@ def create_instance(
     precision: str = "double",
     manager: Optional[ResourceManager] = None,
     deferred: bool = False,
-    resource_list: Optional[Sequence[int]] = None,
     **factory_kwargs,
 ) -> BeagleInstance:
-    """Create an instance with ``beagleCreateInstance``'s argument list.
-
-    ``resource_list`` is a deprecated alias for ``resource_ids`` (the
-    C-style :func:`repro.core.api.beagle_create_instance` spelling); it
-    still works but warns.
-    """
-    if resource_list is not None:
-        warnings.warn(
-            "create_instance(resource_list=...) is deprecated and will "
-            "be removed in 2.0; use resource_ids=...",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if resource_ids is not None:
-            raise ValueError(
-                "pass only one of resource_ids and resource_list"
-            )
-        resource_ids = resource_list
+    """Create an instance with ``beagleCreateInstance``'s argument list."""
     config = InstanceConfig(
         tip_count=tip_count,
         partials_buffer_count=partials_buffer_count,

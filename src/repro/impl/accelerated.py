@@ -23,14 +23,13 @@ Backend naming matches the paper's Fig. 3 leaves:
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.accel.device import DeviceSpec, ProcessorType
 from repro.accel.framework import HardwareInterface, LaunchGeometry
-from repro.accel.kernelgen import KernelConfig
+from repro.accel.ir import KernelConfig
 from repro.accel.perfmodel import (
     KernelCost,
     gradient_kernel_cost,
@@ -179,18 +178,8 @@ class AcceleratedImplementation(BaseImplementation):
 
     def _partials_geometry(self) -> Tuple[LaunchGeometry, int]:
         cfg = self.interface.kernel_config
-        c = self.config
-        if cfg.variant == "gpu":
-            block = cfg.pattern_block_size
-            padded = math.ceil(c.pattern_count / block) * block
-            geom = LaunchGeometry(
-                global_size=(padded, c.state_count),
-                local_size=(block, c.state_count),
-            )
-            return geom, block
-        block = cfg.workgroup_patterns
-        padded = math.ceil(c.pattern_count / block) * block
-        return LaunchGeometry((padded,), (block,)), block
+        geom = cfg.launch_geometry(self.config.pattern_count)
+        return geom, cfg.patterns_per_workgroup
 
     def _partials_cost(self, block: int) -> KernelCost:
         c = self.config
@@ -214,23 +203,19 @@ class AcceleratedImplementation(BaseImplementation):
             self._d_tip_states[tip_index], self._tip_states[tip_index]
         )
 
-    # The host stages partials patterns-innermost, (c, s, p); the device
-    # pool keeps the kernel IR's (c, p, s), so uploads transpose here.
+    # The device pool keeps the kernel IR's (c, p, s) layout, which is
+    # the beagle_* boundary's: validated partials upload as given.
 
-    def set_tip_partials(self, tip_index: int, partials: np.ndarray) -> None:
-        super().set_tip_partials(tip_index, partials)
-        self._d_tip_states.pop(tip_index, None)
-        self.interface.upload(
-            self.interface.slot(self._d_partials, tip_index),
-            self._partials[tip_index].swapaxes(1, 2),
-        )
+    def _allocate_partials(self) -> None:
+        return None
 
-    def set_partials(self, index: int, partials: np.ndarray) -> None:
-        super().set_partials(index, partials)
+    def _store_partials(self, index: int, partials: np.ndarray) -> None:
+        self._tip_states.pop(index, None)
+        self._d_tip_states.pop(index, None)
         self.interface.upload(
-            self.interface.slot(self._d_partials, index),
-            self._partials[index].swapaxes(1, 2),
+            self.interface.slot(self._d_partials, index), partials
         )
+        self._written_partials.add(index)
 
     def get_partials(self, index: int) -> np.ndarray:
         self._check_buffer(index)

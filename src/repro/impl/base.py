@@ -132,15 +132,8 @@ class BaseImplementation(abc.ABC):
 
         c = config
         # Compact (tip-state) and full partials buffers share one index
-        # space of size total_buffer_count, as in the C library; slots
-        # shadowed by compact buffers stay zero until/unless a client
-        # replaces the compact representation with partials.  Storage is
-        # patterns-innermost, (category, state, pattern); the beagle_*
-        # boundary transposes to and from (category, pattern, state).
-        self._partials = np.zeros(
-            (c.total_buffer_count, c.category_count, c.state_count, c.pattern_count),
-            dtype=self.dtype,
-        )
+        # space of size total_buffer_count, as in the C library.
+        self._partials = self._allocate_partials()
         #: Compact tip buffers: index -> int32 state codes (gap = s).
         self._tip_states: Dict[int, np.ndarray] = {}
         #: Matrix buffers with an all-ones gap column appended, which the
@@ -186,6 +179,22 @@ class BaseImplementation(abc.ABC):
         # Updated at write time, never at deferred record time.
         self._written_partials: set = set()
         self._written_matrices: set = set()
+
+    def _allocate_partials(self) -> Optional[np.ndarray]:
+        """The host partials pool, zeroed.
+
+        Slots shadowed by compact buffers stay zero until/unless a
+        client replaces the compact representation with partials.
+        Storage is patterns-innermost, (category, state, pattern); the
+        beagle_* boundary transposes to and from (category, pattern,
+        state).  Device backends keep partials in device pools and
+        allocate none here.
+        """
+        c = self.config
+        return np.zeros(
+            (c.total_buffer_count, c.category_count, c.state_count, c.pattern_count),
+            dtype=self.dtype,
+        )
 
     # -- write tracking ------------------------------------------------------
 
@@ -292,9 +301,7 @@ class BaseImplementation(abc.ABC):
             )
         if partials.shape != (c.category_count, c.pattern_count, c.state_count):
             raise ValueError(f"tip partials shape {partials.shape} invalid")
-        self._tip_states.pop(tip_index, None)
-        self._partials[tip_index] = partials.swapaxes(1, 2)
-        self._written_partials.add(tip_index)
+        self._store_partials(tip_index, partials)
 
     def set_partials(self, index: int, partials: np.ndarray) -> None:
         """Directly set any partials buffer from ``(c, p, s)`` values."""
@@ -303,6 +310,11 @@ class BaseImplementation(abc.ABC):
         c = self.config
         if partials.shape != (c.category_count, c.pattern_count, c.state_count):
             raise ValueError(f"partials shape {partials.shape} invalid")
+        self._store_partials(index, partials)
+
+    def _store_partials(self, index: int, partials: np.ndarray) -> None:
+        """Write validated ``(c, p, s)`` partials into buffer ``index``,
+        replacing any compact tip states it held."""
         self._tip_states.pop(index, None)
         self._partials[index] = partials.swapaxes(1, 2)
         self._written_partials.add(index)

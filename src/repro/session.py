@@ -129,13 +129,14 @@ class MultiDeviceSession:
                 "MultiDeviceSession needs a config with devices set"
             )
         self.config = config
-        md = config.multi_device_kwargs()
         if isinstance(data, Alignment):
             data = compress_patterns(data)
         self.likelihood = MultiDeviceLikelihood(
             tree, data, model, site_model,
-            device_requests=md["device_requests"],
-            proportions=md["proportions"],
+            device_requests=config.device_request_kwargs(),
+            proportions=(
+                list(config.proportions) if config.proportions else None
+            ),
             deferred=config.deferred,
         )
         self._tracer, self._metrics = self.likelihood.instrument(
@@ -152,7 +153,10 @@ class MultiDeviceSession:
             self.executor = RebalancingExecutor(
                 self.likelihood, self._tracer, self._metrics,
                 threshold=config.rebalance_threshold,
-                seed_backends=md["seed_backends"],
+                seed_backends=(
+                    list(config.seed_backends)
+                    if config.seed_backends else None
+                ),
                 retry_policy=config.retry_policy,
             )
         else:

@@ -16,13 +16,19 @@ from repro.accel import (
     KernelConfig,
     SimulatedClock,
     accelerator_kernel_time,
+    build_program_ir,
     compile_kernel_program,
     fit_pattern_block_size,
-    generate_kernel_source,
     get_device,
+    lowering_for,
     partials_kernel_cost,
 )
 from repro.accel.device import ProcessorType
+
+
+def _lowered(config, macros):
+    """Kernel-program source for one config, lowered as build_program does."""
+    return lowering_for(config, macros).lower(build_program_ir(config))
 
 
 class TestDeviceCatalog:
@@ -251,8 +257,8 @@ class TestCPUSystemModel:
 class TestKernelGeneration:
     def test_macro_substitution_differs_by_framework(self):
         config = KernelConfig(state_count=4, precision="single")
-        cuda_src = generate_kernel_source(config, CUDA_MACROS)
-        opencl_src = generate_kernel_source(config, OPENCL_MACROS)
+        cuda_src = _lowered(config, CUDA_MACROS)
+        opencl_src = _lowered(config, OPENCL_MACROS)
         assert "__global__" in cuda_src and "__global__" not in opencl_src
         assert "__kernel" in opencl_src
         assert "pointer-arithmetic" in cuda_src
@@ -260,29 +266,29 @@ class TestKernelGeneration:
 
     def test_shared_template_same_kernel_names(self):
         config = KernelConfig(state_count=4)
-        a = compile_kernel_program(generate_kernel_source(config, CUDA_MACROS))
+        a = compile_kernel_program(_lowered(config, CUDA_MACROS))
         b = compile_kernel_program(
-            generate_kernel_source(config, OPENCL_MACROS))
+            _lowered(config, OPENCL_MACROS))
         assert set(a) == set(b)
         assert "kernelPartialsPartialsNoScale" in a
 
     def test_specialisation_by_state_count(self):
-        src4 = generate_kernel_source(KernelConfig(4), CUDA_MACROS)
-        src61 = generate_kernel_source(KernelConfig(61), CUDA_MACROS)
+        src4 = _lowered(KernelConfig(4), CUDA_MACROS)
+        src61 = _lowered(KernelConfig(61), CUDA_MACROS)
         assert "STATE_COUNT = 4" in src4
         assert "STATE_COUNT = 61" in src61
 
     def test_specialisation_by_precision(self):
-        sp = generate_kernel_source(
+        sp = _lowered(
             KernelConfig(4, precision="single"), CUDA_MACROS)
-        dp = generate_kernel_source(
+        dp = _lowered(
             KernelConfig(4, precision="double"), CUDA_MACROS)
         assert "float32" in sp and "float64" in dp
 
     def test_variants_have_different_inner_products(self):
-        gpu = generate_kernel_source(
+        gpu = _lowered(
             KernelConfig(4, variant="gpu"), OPENCL_MACROS)
-        x86 = generate_kernel_source(
+        x86 = _lowered(
             KernelConfig(4, variant="x86"), OPENCL_MACROS)
         assert "np.matmul" in gpu and "np.matmul" not in x86
         assert "loops over the state space" in x86
@@ -303,7 +309,7 @@ class TestKernelGeneration:
             for variant in ("gpu", "x86"):
                 config = KernelConfig(4, variant=variant)
                 kernels = compile_kernel_program(
-                    generate_kernel_source(config, macros))
+                    _lowered(config, macros))
                 out = np.empty_like(want)
                 kernels["kernelPartialsPartialsNoScale"](
                     out, l1, mats, l2, mats, None)

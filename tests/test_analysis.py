@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.accel.device import DEVICE_CATALOG, ProcessorType
 from repro.analysis import (
     Diagnostic,
     Severity,
@@ -24,7 +25,6 @@ from repro.core.api import (
     beagle_finalize_instance,
     beagle_get_last_error_message,
     beagle_get_resource_list,
-    beagle_set_plan_verification,
     beagle_set_tip_states,
 )
 from repro.core.flags import OP_NONE, ReturnCode
@@ -292,10 +292,6 @@ class TestInstanceVerification:
             assert beagle_configure(handle, strict_plans=True) == int(
                 ReturnCode.SUCCESS
             )
-            with pytest.warns(DeprecationWarning, match="removed in 2.0"):
-                assert beagle_set_plan_verification(handle, False) == int(
-                    ReturnCode.SUCCESS
-                )
         finally:
             beagle_finalize_instance(handle)
         assert beagle_configure(987654, strict_plans=True) != int(
@@ -339,7 +335,7 @@ class TestKernelConfigValidator:
     def test_codon_single_precision_overflows_amd_lds(self):
         """Table IV: codon SP with 16 patterns/WG does not fit R9 Nano."""
         from repro.accel.device import get_device
-        from repro.accel.kernelgen import KernelConfig
+        from repro.accel.ir import KernelConfig
 
         nano = get_device("R9 Nano")
         config = KernelConfig(
@@ -360,7 +356,7 @@ class TestKernelConfigValidator:
     def test_suggested_codon_config_fits_amd(self):
         """Table IV's accommodation: 4 patterns/WG fits and is clean."""
         from repro.accel.device import get_device
-        from repro.accel.kernelgen import KernelConfig
+        from repro.accel.ir import KernelConfig
 
         nano = get_device("R9 Nano")
         config = KernelConfig(
@@ -376,7 +372,7 @@ class TestKernelConfigValidator:
     def test_same_config_fits_nvidia(self):
         """The rejection is AMD-specific: P5000 has 48 KB and 1024 WIs."""
         from repro.accel.device import get_device
-        from repro.accel.kernelgen import KernelConfig
+        from repro.accel.ir import KernelConfig
 
         p5000 = get_device("P5000")
         config = KernelConfig(
@@ -387,7 +383,7 @@ class TestKernelConfigValidator:
 
     def test_fma_rejected_without_hardware_support(self):
         from repro.accel.device import get_device
-        from repro.accel.kernelgen import KernelConfig
+        from repro.accel.ir import KernelConfig
 
         i7 = get_device("i7-930")
         config = KernelConfig(
@@ -402,7 +398,7 @@ class TestKernelConfigValidator:
 
     def test_local_memory_on_device_without_any(self):
         from repro.accel.device import get_device
-        from repro.accel.kernelgen import KernelConfig
+        from repro.accel.ir import KernelConfig
 
         flat = dataclasses.replace(get_device("i7-930"), local_mem_kb=0.0)
         config = KernelConfig(
@@ -413,7 +409,7 @@ class TestKernelConfigValidator:
 
     def test_variant_mismatch_is_a_warning(self):
         from repro.accel.device import get_device
-        from repro.accel.kernelgen import KernelConfig
+        from repro.accel.ir import KernelConfig
 
         xeon = get_device("E5-2680")
         config = KernelConfig(
@@ -428,7 +424,7 @@ class TestKernelConfigValidator:
     def test_build_program_produces_validated_config(self):
         """The dynamic fitting in build_program satisfies the validator."""
         from repro.accel.device import get_device
-        from repro.accel.kernelgen import KernelConfig
+        from repro.accel.ir import KernelConfig
         from repro.accel.opencl import OpenCLInterface
 
         nano = get_device("R9 Nano")
@@ -443,6 +439,53 @@ class TestKernelConfigValidator:
             assert not has_errors(validate_kernel_config(built, nano))
         finally:
             iface.finalize()
+
+
+#: Every catalog device under every framework that serves it: CUDA on
+#: NVIDIA GPUs, OpenCL everywhere.
+FRAMEWORK_DEVICES = [
+    (framework, device)
+    for device in DEVICE_CATALOG.values()
+    for framework in ("cuda", "opencl")
+    if framework == "opencl" or (
+        device.vendor == "NVIDIA" and device.processor is ProcessorType.GPU
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "framework,device", FRAMEWORK_DEVICES,
+    ids=[f"{f}-{d.name.split()[-1]}" for f, d in FRAMEWORK_DEVICES],
+)
+@pytest.mark.parametrize("states", (4, 20, 61))
+@pytest.mark.parametrize("precision", ("single", "double"))
+@pytest.mark.parametrize("variant", ("gpu", "x86", "cpu"))
+@pytest.mark.parametrize("block", (16, 64))
+@pytest.mark.parametrize("fma", (False, True))
+def test_build_program_builds_the_suggested_config(
+    framework, device, states, precision, variant, block, fma
+):
+    """The builder and the validator share one fitting and variant rule:
+    what build_program builds is what suggest_kernel_config names, and
+    the validator finds no error in it."""
+    from repro.accel.cuda import CudaInterface
+    from repro.accel.ir import KernelConfig
+    from repro.accel.opencl import OpenCLInterface
+
+    requested = KernelConfig(
+        states, precision=precision, variant=variant, use_fma=fma,
+        pattern_block_size=block,
+    )
+    interface = {"cuda": CudaInterface, "opencl": OpenCLInterface}[
+        framework
+    ](device)
+    try:
+        interface.build_program(requested, autotune=False)
+        built = interface.kernel_config
+    finally:
+        interface.finalize()
+    assert built == suggest_kernel_config(requested, device)
+    assert not has_errors(validate_kernel_config(built, device))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from repro.accel.device import (
     QUADRO_P5000,
     XEON_E5_2680V4_X2,
 )
-from repro.accel.kernelgen import KernelConfig
+from repro.accel.ir import KernelConfig
 from repro.accel.lower import fit_config_for_device
 from repro.accel.opencl import OpenCLInterface
 from repro.obs import MetricsRegistry

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.cli import experiments_main, info_main
+from repro.cli import (
+    chaos_main,
+    cluster_main,
+    experiments_main,
+    info_main,
+    serve_main,
+    trace_main,
+)
 
 
 class TestInfo:
@@ -49,3 +56,23 @@ class TestExperiments:
         assert experiments_main([]) == 0
         out = capsys.readouterr().out
         assert "Figure 6" in out and "Table V" in out
+
+
+class TestArgumentChecks:
+    """Bad arguments exit with status 2 before any work starts."""
+
+    @pytest.mark.parametrize(
+        "main", [trace_main, chaos_main, cluster_main, serve_main],
+        ids=lambda main: main.__name__,
+    )
+    def test_unknown_backend(self, main, capsys):
+        assert main(["--backend", "bogus"]) == 2
+        assert "unknown backend 'bogus'" in capsys.readouterr().err
+
+    def test_chaos_needs_two_devices(self, capsys):
+        assert chaos_main(["--devices", "1"]) == 2
+        assert "need --devices >= 2" in capsys.readouterr().err
+
+    def test_node_loss_needs_two_nodes(self, capsys):
+        assert cluster_main(["--nodes", "1", "--scenario", "node-loss"]) == 2
+        assert "need --nodes >= 2" in capsys.readouterr().err

@@ -125,8 +125,7 @@ def test_multi_device_roundtrip():
     )
     assert cfg.is_multi_device
     assert cfg.proportions == (0.7, 0.3)
-    md = cfg.multi_device_kwargs()
-    assert set(md["device_requests"]) == {"dev0", "dev1"}
-    assert md["rebalance"] is False
+    assert set(cfg.device_request_kwargs()) == {"dev0", "dev1"}
+    assert cfg.rebalance is False
     with pytest.raises(ValueError, match="no single-instance kwargs"):
         cfg.likelihood_kwargs()

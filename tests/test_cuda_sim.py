@@ -14,9 +14,15 @@ from repro.accel.cuda import (
 )
 from repro.accel.device import QUADRO_P5000, RADEON_R9_NANO, DeviceSpec, ProcessorType
 from repro.accel.framework import LaunchGeometry
-from repro.accel.kernelgen import CUDA_MACROS, KernelConfig, generate_kernel_source
+from repro.accel.ir import KernelConfig, build_program_ir
+from repro.accel.lower import CUDA_MACROS, lowering_for
 from repro.accel.perfmodel import KernelCost
 from repro.util.errors import OutOfMemoryError
+
+
+def _lowered(config, macros):
+    """Kernel-program source for one config, lowered as build_program does."""
+    return lowering_for(config, macros).lower(build_program_ir(config))
 
 
 @pytest.fixture(autouse=True)
@@ -89,7 +95,7 @@ class TestDriverBasics:
         assert exc.value.status == "CUDA_ERROR_CONTEXT_IS_DESTROYED"
 
     def test_module_load_and_missing_function(self, ctx):
-        src = generate_kernel_source(KernelConfig(4), CUDA_MACROS)
+        src = _lowered(KernelConfig(4), CUDA_MACROS)
         module = ctx.cuModuleLoadData(src)
         module.cuModuleGetFunction("kernelMatrixMulADB")
         with pytest.raises(CudaError) as exc:
@@ -102,7 +108,7 @@ class TestDriverBasics:
         assert exc.value.status == "CUDA_ERROR_INVALID_PTX"
 
     def test_launch_validates_shared_memory(self, ctx):
-        src = generate_kernel_source(KernelConfig(4), CUDA_MACROS)
+        src = _lowered(KernelConfig(4), CUDA_MACROS)
         fn = ctx.cuModuleLoadData(src).cuModuleGetFunction(
             "kernelAccumulateFactorsScale")
         with pytest.raises(CudaError) as exc:
@@ -114,7 +120,7 @@ class TestDriverBasics:
         assert "shared memory" in str(exc.value)
 
     def test_launch_advances_clock(self, ctx):
-        src = generate_kernel_source(KernelConfig(4), CUDA_MACROS)
+        src = _lowered(KernelConfig(4), CUDA_MACROS)
         fn = ctx.cuModuleLoadData(src).cuModuleGetFunction(
             "kernelAccumulateFactorsScale")
         before = ctx.clock.elapsed
@@ -126,7 +132,7 @@ class TestDriverBasics:
         assert ctx.clock.elapsed > before
 
     def test_geometry_divisibility_enforced(self, ctx):
-        src = generate_kernel_source(KernelConfig(4), CUDA_MACROS)
+        src = _lowered(KernelConfig(4), CUDA_MACROS)
         fn = ctx.cuModuleLoadData(src).cuModuleGetFunction(
             "kernelAccumulateFactorsScale")
         with pytest.raises(ValueError, match="multiple"):

@@ -20,6 +20,7 @@ from repro.config import backend_flags
 from repro.core import compute
 from repro.core.highlevel import TreeLikelihood
 from repro.core.types import InstanceConfig, Operation
+from repro.impl.accelerated import AcceleratedImplementation
 from repro.impl.registry import registered_plugins
 from repro.model import HKY85, SiteModel
 from repro.seq import compress_patterns, simulate_alignment
@@ -100,6 +101,46 @@ def test_full_update_allocates_less_than_one_partials_buffer():
             tracemalloc.stop()
         assert len(operations) == tl.tree.n_nodes - tl.tree.n_tips
         assert peak < buffer_bytes
+
+
+@pytest.mark.parametrize("framework,device", [
+    ("cuda", QUADRO_P5000), ("opencl", FIREPRO_S9170),
+    ("opencl", XEON_E5_2680V4_X2),
+])
+def test_device_backend_holds_no_host_partials_pool(framework, device):
+    """Device backends keep partials only in their device pools:
+    once built, an accelerated instance holds less than one partials
+    buffer on the host beyond what its device allocations account for."""
+    config = InstanceConfig(
+        tip_count=8, partials_buffer_count=15, compact_buffer_count=0,
+        state_count=4, pattern_count=4000, eigen_buffer_count=1,
+        matrix_buffer_count=15, category_count=4, scale_buffer_count=0,
+    )
+    buffer_bytes = (config.category_count * config.pattern_count
+                    * config.state_count * np.dtype(np.float64).itemsize)
+
+    def build():
+        return AcceleratedImplementation(
+            config, framework=framework, device=device, autotune=False
+        )
+
+    build().finalize()  # warm-up: lazy imports and caches
+    tracemalloc.start()
+    try:
+        impl = build()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    try:
+        assert held - impl.interface.memory_in_use() < buffer_bytes
+        # Uploads still round-trip without a host staging copy.
+        rows = np.random.default_rng(4).random((4000, 4))
+        impl.set_tip_partials(0, rows)
+        assert np.array_equal(
+            impl.get_partials(0), np.broadcast_to(rows, (4, 4000, 4))
+        )
+    finally:
+        impl.finalize()
 
 
 def test_operation_aliasing_a_child_is_rejected():

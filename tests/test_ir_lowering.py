@@ -28,21 +28,18 @@ from repro.accel.ir import (
     InnerProduct,
     IRError,
     IterAxis,
+    KernelConfig,
     KernelIR,
     LocalTile,
     Param,
     REQUIRED_KERNELS,
     build_program_ir,
 )
-from repro.accel.kernelgen import (
+from repro.accel.lower import (
     CUDA_MACROS,
     OPENCL_MACROS,
-    KernelConfig,
-    compile_kernel_program,
-    generate_kernel_source,
-)
-from repro.accel.lower import (
     LoweringError,
+    compile_kernel_program,
     fit_config_for_device,
     lowering_for,
 )
@@ -53,6 +50,11 @@ from repro.model import HKY85, SiteModel
 from repro.seq import synthetic_pattern_set
 from repro.session import Session
 from repro.tree import yule_tree
+
+
+def _lowered(config, macros):
+    """Kernel-program source for one config, lowered as build_program does."""
+    return lowering_for(config, macros).lower(build_program_ir(config))
 
 
 class TestProgramIR:
@@ -148,7 +150,7 @@ class TestLoweringSelection:
 
 class TestLoweredSource:
     def test_cuda_header_carries_framework_keywords(self):
-        src = generate_kernel_source(KernelConfig(4), CUDA_MACROS)
+        src = _lowered(KernelConfig(4), CUDA_MACROS)
         assert "__global__" in src
         assert "__shared__" in src
         assert "__syncthreads()" in src
@@ -156,7 +158,7 @@ class TestLoweredSource:
         assert "__launch_bounds__" in src
 
     def test_opencl_header_carries_framework_keywords(self):
-        src = generate_kernel_source(KernelConfig(4), OPENCL_MACROS)
+        src = _lowered(KernelConfig(4), OPENCL_MACROS)
         assert "__kernel" in src
         assert "barrier(CLK_LOCAL_MEM_FENCE)" in src
         assert "# lowering           : opencl" in src
@@ -166,7 +168,7 @@ class TestLoweredSource:
         config = KernelConfig(4)
         signature = build_program_ir(config).signature()
         for macros in (CUDA_MACROS, OPENCL_MACROS):
-            assert signature in generate_kernel_source(config, macros)
+            assert signature in _lowered(config, macros)
 
     def test_every_lowering_compiles_all_kernels(self):
         configs = [
@@ -177,7 +179,7 @@ class TestLoweredSource:
         ]
         for config, macros in configs:
             kernels = compile_kernel_program(
-                generate_kernel_source(config, macros)
+                _lowered(config, macros)
             )
             assert set(REQUIRED_KERNELS) <= set(kernels)
 
@@ -188,7 +190,7 @@ class TestLoweredSource:
         config = KernelConfig(4, variant="gpu")
 
         def normalize(macros):
-            src = generate_kernel_source(config, macros)
+            src = _lowered(config, macros)
             src = "\n".join(
                 line for line in src.splitlines()
                 if not line.lstrip().startswith("#")

@@ -20,6 +20,7 @@ from repro.accel.ir import (
     Guarded,
     InnerProduct,
     IterAxis,
+    KernelConfig,
     KernelIR,
     LocalTile,
     Multiply,
@@ -29,8 +30,13 @@ from repro.accel.ir import (
     build_program_ir,
 )
 from repro.accel.autotune import AutoTuner
-from repro.accel.kernelgen import CUDA_MACROS, OPENCL_MACROS, KernelConfig
-from repro.accel.lower import LoweringError, fit_config_for_device, lowering_for
+from repro.accel.lower import (
+    CUDA_MACROS,
+    OPENCL_MACROS,
+    LoweringError,
+    fit_config_for_device,
+    lowering_for,
+)
 from repro.analysis import Severity, verify_kernel_ir, verify_program_ir
 from repro.cli import verify_main
 

@@ -10,7 +10,7 @@ from repro.accel.device import (
     ProcessorType,
 )
 from repro.accel.framework import LaunchGeometry
-from repro.accel.kernelgen import KernelConfig
+from repro.accel.ir import KernelConfig, build_program_ir
 from repro.accel.opencl import (
     CLCommandQueue,
     CLContext,
@@ -28,7 +28,7 @@ from repro.accel.opencl import (
     register_icd,
     reset_icd,
 )
-from repro.accel.kernelgen import OPENCL_MACROS, generate_kernel_source
+from repro.accel.lower import OPENCL_MACROS, lowering_for
 from repro.accel.perfmodel import KernelCost
 from repro.util.errors import OutOfMemoryError
 
@@ -140,7 +140,9 @@ class TestBuffers:
 class TestProgramPipeline:
     def _program(self, ctx, **cfg):
         config = KernelConfig(state_count=4, **cfg)
-        src = generate_kernel_source(config, OPENCL_MACROS)
+        src = lowering_for(config, OPENCL_MACROS).lower(
+            build_program_ir(config)
+        )
         return clCreateProgramWithSource(ctx, src)
 
     def test_kernel_before_build_rejected(self):

@@ -15,7 +15,6 @@ from repro.core.api import (
     beagle_finalize_instance,
     beagle_flush,
     beagle_get_last_error_message,
-    beagle_set_execution_mode,
     beagle_set_tip_states,
 )
 from repro.core.flags import OP_NONE, ReturnCode
@@ -353,19 +352,6 @@ class TestFunctionalApi:
         assert beagle_configure(handle, deferred=False) == int(
             ReturnCode.SUCCESS
         )
-        assert beagle_finalize_instance(handle) == int(ReturnCode.SUCCESS)
-
-    def test_deprecated_setter_delegates_and_warns(self):
-        handle = self.make_handle()
-        with pytest.warns(DeprecationWarning, match="removed in 2.0"):
-            assert beagle_set_execution_mode(handle, True) == int(
-                ReturnCode.SUCCESS
-            )
-        assert beagle_flush(handle) == int(ReturnCode.SUCCESS)
-        with pytest.warns(DeprecationWarning, match="beagle_configure"):
-            assert beagle_set_execution_mode(handle, False) == int(
-                ReturnCode.SUCCESS
-            )
         assert beagle_finalize_instance(handle) == int(ReturnCode.SUCCESS)
 
     def test_configure_rejects_unknown_options_atomically(self):

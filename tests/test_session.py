@@ -13,7 +13,6 @@ from repro.core.api import (
     beagle_set_tip_states,
 )
 from repro.core.flags import Flag, ReturnCode
-from repro.core.instance import create_instance
 from repro.model import HKY85, SiteModel
 from repro.seq import simulate_patterns, synthetic_pattern_set
 from repro.session import BACKEND_FLAGS, Session, backend_flags
@@ -118,42 +117,6 @@ class TestSessionFacade:
                 row["name"] == "root_log_likelihood"
                 for row in s.hottest(20)
             )
-
-
-class TestDeprecatedSpellings:
-    def test_create_instance_resource_list_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="resource_ids"):
-            inst = create_instance(
-                4, 3, 4, 4, 10, 1, 7, resource_list=[0]
-            )
-        assert inst.details.resource_id == 0
-        inst.finalize()
-
-    def test_create_instance_rejects_both_spellings(self):
-        with pytest.warns(DeprecationWarning), \
-                pytest.raises(ValueError, match="only one"):
-            create_instance(
-                4, 3, 4, 4, 10, 1, 7,
-                resource_ids=[0], resource_list=[0],
-            )
-
-    def test_beagle_create_instance_resource_ids_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="resource_list"):
-            handle, details = beagle_create_instance(
-                4, 3, 4, 4, 10, 1, 7, resource_ids=[0]
-            )
-        assert handle >= 0
-        assert details.resource_id == 0
-        beagle_finalize_instance(handle)
-
-    def test_beagle_create_instance_rejects_both_spellings(self):
-        handle, details = beagle_create_instance(
-            4, 3, 4, 4, 10, 1, 7,
-            resource_list=[0], resource_ids=[0],
-        )
-        assert handle < 0
-        assert details is None
-        assert "not both" in beagle_get_last_error_message()
 
 
 class TestUnifiedErrorSurface:

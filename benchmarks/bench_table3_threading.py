@@ -1,7 +1,7 @@
 """Paper Table III: the three CPU threading designs vs serial.
 
-The recorded table comes from the calibrated dual-Xeon system model (this
-container has one core, so the paper's 56-thread speedups are not
+The recorded table comes from the calibrated dual-Xeon system model (the
+reproduction host has 2 vCPUs, so the paper's 56-thread speedups are not
 wall-clock reproducible; see EXPERIMENTS.md).  The pytest-benchmark
 timings exercise the real serial / futures / thread-create / thread-pool
 implementations on a reduced workload.

@@ -139,33 +139,34 @@ class KernelConfigValidator:
                 suggestion="set use_fma=False",
             ))
 
-        if (config.variant == "gpu"
-                and device.processor == ProcessorType.CPU):
-            out.append(Diagnostic(
-                severity=Severity.WARNING,
-                code="variant-mismatch",
-                message=(
+        runs = variant_for(device, config.variant)
+        if config.variant != runs:
+            if device.processor == ProcessorType.CPU:
+                why = (
                     f"gpu kernel variant on CPU device {name}; Table V "
                     "shows the loop-over-states x86 variant with "
                     "256-pattern work-groups performs best there"
-                ),
-                source=_SOURCE,
-                location=name,
-                suggestion='set variant="x86"',
-            ))
-        elif (config.variant == "x86"
-                and device.processor == ProcessorType.GPU):
-            out.append(Diagnostic(
-                severity=Severity.WARNING,
-                code="variant-mismatch",
-                message=(
+                )
+            elif (config.variant == "x86"
+                    and device.processor == ProcessorType.GPU):
+                why = (
                     f"x86 kernel variant on GPU device {name}; the "
                     "one-work-item-per-state gpu variant exploits the "
                     "wide SIMT front end"
-                ),
+                )
+            else:
+                why = (
+                    f"{config.variant} kernel variant on "
+                    f"{device.processor.name} device {name}; "
+                    f"build_program runs the {runs} variant there"
+                )
+            out.append(Diagnostic(
+                severity=Severity.WARNING,
+                code="variant-mismatch",
+                message=why,
                 source=_SOURCE,
                 location=name,
-                suggestion='set variant="gpu"',
+                suggestion=f'set variant="{runs}"',
             ))
 
         return out

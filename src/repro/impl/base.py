@@ -747,8 +747,10 @@ class BaseImplementation(abc.ABC):
     def _execute_level(self, operations: List[Operation]) -> None:
         """Run one level of mutually independent, validated operations.
 
-        The default replays the existing per-call path; backends with
-        real concurrency override this to fan the whole level out.
+        The default replays the per-call path, which on the host CPU
+        backends is one wave of pattern slices; the futures and
+        accelerated backends override this to run the level's
+        operations side by side.
         """
         self._execute_operations(list(operations))
 
@@ -1044,16 +1046,21 @@ class BaseImplementation(abc.ABC):
             return self.DYNAMIC_SCALING_THRESHOLDS[self.precision]
         return np.inf
 
-    def _apply_scaling(self, op: Operation) -> None:
-        """Apply one operation's scaling to its destination, in place."""
-        dest = self._partials[op.destination]
+    def _apply_scaling(self, op: Operation, sl: slice = slice(None)) -> None:
+        """Apply one operation's scaling to pattern slice ``sl`` of its
+        destination, in place.
+
+        Factors are per pattern, so scaling slices separately is
+        bit-identical to scaling the whole axis at once.
+        """
+        dest = self._partials[op.destination][:, :, sl]
         if op.read_scale != OP_NONE:
-            dest *= np.exp(self._scale_factors[op.read_scale])
+            dest *= np.exp(self._scale_factors[op.read_scale, sl])
         if op.write_scale != OP_NONE:
             _, log_factors = compute.rescale_partials(
                 dest, threshold=self._scaling_threshold
             )
-            self._scale_factors[op.write_scale] = log_factors
+            self._scale_factors[op.write_scale, sl] = log_factors
 
     # -- compute hooks (overridden per backend) --------------------------------
 

@@ -76,32 +76,17 @@ class CPUFuturesImplementation(VectorCPUImplementation):
             f.result()  # re-raise worker exceptions
 
     def _execute_operations(self, operations: List[Operation]) -> None:
-        levels = dependency_levels(operations)
-        # Executor per call: the futures design creates its asynchronous
-        # work on demand rather than keeping a pool alive.
-        tracer = self._tracer
-        with ThreadPoolExecutor(max_workers=self.thread_count) as pool:
-            for level in levels:
-                if len(level) == 1:
-                    self._compute_operation(level[0])
-                    continue
-                if not tracer.enabled:
-                    self._submit_level(pool, level)
-                    continue
-                with tracer.span(
-                    "futures_wave", kind="wave", backend=self.name,
-                    n_operations=len(level),
-                ):
-                    self._submit_level(pool, level)
+        for level in dependency_levels(operations):
+            self._execute_level(level)
 
     def _execute_level(self, operations: List[Operation]) -> None:
-        """One asynchronous task per operation of an already-level-grouped
-        batch — the plan layer has done the dependency analysis, so no
-        further level computation is needed here."""
+        """One asynchronous task per operation of an independent level."""
         if len(operations) == 1 or self.thread_count == 1:
             for op in operations:
                 self._compute_operation(op)
             return
+        # Executor per level: the futures design creates its asynchronous
+        # work on demand rather than keeping a pool alive.
         tracer = self._tracer
         with ThreadPoolExecutor(max_workers=self.thread_count) as pool:
             if not tracer.enabled:

@@ -19,25 +19,15 @@ implementation the manager selects for ``THREADING_CPP`` requests.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Tuple
+from concurrent.futures import ThreadPoolExecutor, wait
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core import compute
 from repro.core.flags import Flag
-from repro.core.types import Operation
-from repro.impl.cpu_sse import (
-    VectorCPUImplementation,
-    compute_operation_slice,
-)
-from repro.impl.threading.common import (
-    MIN_PATTERNS_FOR_THREADING,
-    apply_level_scaling,
-    default_thread_count,
-    operations_use_scaling,
-    pattern_slices,
-)
+from repro.impl.cpu_sse import VectorCPUImplementation
+from repro.impl.threading.common import default_thread_count
 
 
 class CPUThreadPoolImplementation(VectorCPUImplementation):
@@ -78,93 +68,20 @@ class CPUThreadPoolImplementation(VectorCPUImplementation):
             self._pool.shutdown(wait=True)
             self._pool = None
 
-    @property
-    def _threading_active(self) -> bool:
-        return (
-            self.config.pattern_count >= MIN_PATTERNS_FOR_THREADING
-            and self.thread_count > 1
-        )
-
-    def _map_slices(self, fn, slices) -> List:
-        futures = [self.pool.submit(fn, sl) for sl in slices]
-        self._record_queue_depth(len(futures))
-        return [f.result() for f in futures]
-
-    def _record_queue_depth(self, depth: int) -> None:
+    def _run_wave(self, task: Callable[[slice], None],
+                  slices: List[slice]) -> None:
+        futures = [self.pool.submit(task, sl) for sl in slices]
         # Gated on the metrics registry, not the tracer: metrics-only
         # instrumentation (tracing off) must still see the pool counters.
         metrics = self._metrics
         if metrics is not None:
-            metrics.gauge("threadpool.queue_depth").set(depth)
-            metrics.counter("threadpool.tasks").inc(depth)
-
-    def _execute_operations(self, operations: List[Operation]) -> None:
-        if not self._threading_active:
-            for op in operations:
-                self._compute_operation(op)
-            return
-        slices = pattern_slices(self.config.pattern_count, self.thread_count)
-
-        if operations_use_scaling(operations):
-            for op in operations:
-                def worker(sl, op=op):
-                    compute_operation_slice(self, op, sl)
-                self._map_slices(worker, slices)
-                self._apply_scaling(op)
-            return
-
-        def worker(sl):
-            for op in operations:
-                compute_operation_slice(self, op, sl)
-
-        tracer = self._tracer
-        if not tracer.enabled:
-            self._map_slices(worker, slices)
-            return
-        with tracer.span(
-            "level_wave", kind="wave", backend=self.name,
-            n_operations=len(operations), n_slices=len(slices),
-        ):
-            self._map_slices(worker, slices)
-
-    def _execute_level(self, operations: List[Operation]) -> None:
-        """Fan a whole plan level across the pool in one wave.
-
-        The level's operations are mutually independent, so each
-        pattern-slice task streams its slice through every operation of
-        the level with no barrier, and the wave has a single join.  Tasks
-        are per slice, not per (operation, slice) pair: a slice task owns
-        its slice of the instance scratch buffer.
-        """
-        if not self._threading_active or len(operations) == 1:
-            self._execute_operations(list(operations))
-            return
-        slices = pattern_slices(self.config.pattern_count, self.thread_count)
-
-        def worker(sl):
-            for op in operations:
-                compute_operation_slice(self, op, sl)
-
-        def submit_wave():
-            futures = [self.pool.submit(worker, sl) for sl in slices]
-            for f in futures:
-                f.result()
-            return len(futures)
-
-        tracer = self._tracer
-        if not tracer.enabled:
-            depth = submit_wave()
-        else:
-            with tracer.span(
-                "level_wave",
-                kind="wave",
-                backend=self.name,
-                n_operations=len(operations),
-                n_slices=len(slices),
-            ):
-                depth = submit_wave()
-        self._record_queue_depth(depth)
-        apply_level_scaling(self, operations)
+            metrics.gauge("threadpool.queue_depth").set(len(futures))
+            metrics.counter("threadpool.tasks").inc(len(futures))
+        # Join every task before raising, so no worker still writes into
+        # the buffers when the caller sees the error.
+        wait(futures)
+        for f in futures:
+            f.result()
 
     def _compute_root(
         self,
@@ -173,12 +90,12 @@ class CPUThreadPoolImplementation(VectorCPUImplementation):
         state_frequencies: np.ndarray,
         cumulative_scale_log: Optional[np.ndarray],
     ) -> Tuple[float, np.ndarray]:
-        if not self._threading_active:
+        slices = self._slices()
+        if len(slices) == 1:
             return super()._compute_root(
                 root_partials, category_weights, state_frequencies,
                 cumulative_scale_log,
             )
-        slices = pattern_slices(self.config.pattern_count, self.thread_count)
         log_site = np.empty(self.config.pattern_count)
 
         def worker(sl):
@@ -194,5 +111,5 @@ class CPUThreadPoolImplementation(VectorCPUImplementation):
             )
             log_site[sl] = per_pattern
 
-        self._map_slices(worker, slices)
+        self._run_wave(worker, slices)
         return float(np.dot(self._pattern_weights, log_site)), log_site

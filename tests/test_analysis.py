@@ -421,6 +421,29 @@ class TestKernelConfigValidator:
             [d for d in diags if d.code == "variant-mismatch"]
         ) is Severity.WARNING
 
+    def test_variant_mismatch_follows_variant_for(self):
+        """The warning fires exactly when the build would run another
+        variant, including the host-vector cpu variant on a GPU."""
+        from repro.accel.ir import KernelConfig
+        from repro.accel.lower import variant_for
+
+        for device in DEVICE_CATALOG.values():
+            for variant in ("gpu", "x86", "cpu"):
+                config = KernelConfig(
+                    state_count=4, variant=variant, use_local_memory=False,
+                )
+                mismatched = [
+                    d for d in validate_kernel_config(config, device)
+                    if d.code == "variant-mismatch"
+                ]
+                runs = variant_for(device, variant)
+                assert bool(mismatched) == (variant != runs), (
+                    device.name, variant,
+                )
+                for d in mismatched:
+                    assert d.severity is Severity.WARNING
+                    assert d.suggestion == f'set variant="{runs}"'
+
     def test_build_program_produces_validated_config(self):
         """The dynamic fitting in build_program satisfies the validator."""
         from repro.accel.device import get_device

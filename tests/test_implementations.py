@@ -1,5 +1,7 @@
 """CPU implementations: semantics, validation, and cross-agreement."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -249,49 +251,129 @@ class TestThreadingSpecifics:
 
         assert MIN_PATTERNS_FOR_THREADING == 512
 
-    def test_threaded_scaling_path(self):
-        """Thread-pool with >512 patterns and per-op scaling barriers."""
-        tree = yule_tree(6, rng=55)
+    @pytest.fixture(scope="class")
+    def scaled_workload(self):
+        """Over 512 patterns, deep enough that single-precision dynamic
+        scaling rescales some patterns but not all."""
+        tree = yule_tree(24, rng=55)
         model = HKY85(2.0)
-        sm = SiteModel.uniform()
-        aln = simulate_alignment(tree, model, 900, rng=56)
-        ps = compress_patterns(aln)
+        sm = SiteModel.gamma(0.5, 4)
+        aln = simulate_alignment(tree, model, 900, sm, rng=56)
+        return tree, compress_patterns(aln), model, sm
+
+    @staticmethod
+    def run_scaled(workload, cls, precision, scaling_mode, deferred, **kw):
+        """One scaled traversal + root; returns (total, site logLs, factors).
+
+        Even tips are compact state codes, so the states-states,
+        states-partials and partials-partials kernels all run.
+        """
+        from repro.core.plan import ExecutionPlan
+
+        tree, ps, model, sm = workload
         cfg = make_config(tree, ps, model, sm, scale_buffers=tree.n_internal + 1)
         plan = plan_traversal(tree, use_scaling=True)
-
-        def run(cls, **kw):
-            impl = cls(cfg, **kw)
-            enc = ps.alignment.encode_partials()
-            for t in range(tree.n_tips):
-                impl.set_tip_partials(t, enc[t])
-            impl.set_pattern_weights(ps.weights)
-            impl.set_category_rates(sm.rates)
-            impl.set_category_weights(0, sm.weights)
-            impl.set_state_frequencies(0, model.frequencies)
-            e = model.eigen
-            impl.set_eigen_decomposition(
-                0, e.eigenvectors, e.inverse_eigenvectors, e.eigenvalues
+        impl = cls(cfg, precision, scaling_mode=scaling_mode, **kw)
+        states = ps.alignment.encode_states()
+        partials = ps.alignment.encode_partials()
+        for t in range(tree.n_tips):
+            if t % 2 == 0:
+                impl.set_tip_states(t, states[t])
+            else:
+                impl.set_tip_partials(t, partials[t])
+        impl.set_pattern_weights(ps.weights)
+        impl.set_category_rates(sm.rates)
+        impl.set_category_weights(0, sm.weights)
+        impl.set_state_frequencies(0, model.frequencies)
+        e = model.eigen
+        impl.set_eigen_decomposition(
+            0, e.eigenvectors, e.inverse_eigenvectors, e.eigenvalues
+        )
+        if deferred:
+            recorded = ExecutionPlan()
+            recorded.record_matrix_update(
+                0, list(plan.branch_node_indices), list(plan.branch_lengths)
             )
+            recorded.record_operations(plan.operations)
+            impl.execute_plan(recorded)
+        else:
             impl.update_transition_matrices(
                 0, list(plan.branch_node_indices), plan.branch_lengths
             )
             impl.update_partials(plan.operations)
-            cum = tree.n_internal
-            impl.reset_scale_factors(cum)
-            impl.accumulate_scale_factors(
-                list(range(tree.n_internal)), cum
-            )
-            value = impl.calculate_root_log_likelihoods(
-                plan.root_index, 0, 0, cum
-            )
-            impl.finalize()
-            return value
+        cum = tree.n_internal
+        impl.reset_scale_factors(cum)
+        impl.accumulate_scale_factors(list(range(tree.n_internal)), cum)
+        total = impl.calculate_root_log_likelihoods(plan.root_index, 0, 0, cum)
+        result = (total, impl.get_site_log_likelihoods(),
+                  impl.get_scale_factors(cum))
+        impl.finalize()
+        return result
 
-        ref = run(CPUSSEImplementation)
-        pooled = run(CPUThreadPoolImplementation, thread_count=3)
-        created = run(CPUThreadCreateImplementation, thread_count=3)
-        assert np.isclose(pooled, ref, rtol=1e-12)
-        assert np.isclose(created, ref, rtol=1e-12)
+    def test_threaded_scaling_path(self, scaled_workload):
+        """Scaled traversals on every threaded design match cpu-sse
+        exactly, eager and deferred, in both scaling modes: rescaling is
+        per pattern, so slicing never changes it.  Three workers and a
+        short switch interval make slice tasks interleave, so a write
+        outside a task's own slice would show as a mismatch."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            self._check_threaded_scaling_path(scaled_workload)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def _check_threaded_scaling_path(self, scaled_workload):
+        for precision in ("double", "single"):
+            for scaling_mode in ("always", "dynamic"):
+                for deferred in (False, True):
+                    ref = self.run_scaled(
+                        scaled_workload, CPUSSEImplementation, precision,
+                        scaling_mode, deferred,
+                    )
+                    # Double-precision dynamic scaling never fires on this
+                    # tree; the other settings rescale (dynamic: only some
+                    # patterns).
+                    factors = ref[2]
+                    if scaling_mode == "always" or precision == "single":
+                        assert np.any(factors != 0.0)
+                    if scaling_mode == "dynamic":
+                        assert np.any(factors == 0.0)
+                    assert np.isfinite(ref[0])
+                    for cls in (CPUThreadPoolImplementation,
+                                CPUThreadCreateImplementation,
+                                CPUFuturesImplementation):
+                        case = (cls.name, precision, scaling_mode, deferred)
+                        got = self.run_scaled(
+                            scaled_workload, cls, precision, scaling_mode,
+                            deferred, thread_count=3,
+                        )
+                        assert got[0] == ref[0], case
+                        assert np.array_equal(got[1], ref[1]), case
+                        assert np.array_equal(got[2], ref[2]), case
+
+    @pytest.mark.parametrize("cls, counter", [
+        (CPUThreadPoolImplementation, "threadpool.tasks"),
+        (CPUThreadCreateImplementation, "threads.created"),
+    ])
+    def test_scaled_traversal_is_one_wave(self, scaled_workload, cls,
+                                          counter):
+        """One eager scaled update_partials runs one task per pattern
+        slice, not one per (operation, slice) pair."""
+        from repro.impl.threading import pattern_slices
+
+        tree, ps, model, sm = scaled_workload
+        cfg = make_config(tree, ps, model, sm, scale_buffers=tree.n_internal + 1)
+        impl = cls(cfg, thread_count=2)
+        tracer, metrics = impl.instrument()
+        plan = plan_traversal(tree, use_scaling=True)
+        impl.update_partials(plan.operations)
+        impl.finalize()
+        assert len(plan.operations) > 1
+        assert metrics.counter(counter).value == len(
+            pattern_slices(cfg.pattern_count, 2)
+        )
+        assert tracer.count(kind="wave") == 1
 
     def test_worker_exception_propagates(self):
         tree = yule_tree(4, rng=57)

@@ -408,6 +408,7 @@ def verify_main(argv: Optional[List[str]] = None) -> int:
     if args.kernels or run_all:
         from repro.accel.device import DEVICE_CATALOG, ProcessorType
         from repro.accel.ir import KernelConfig
+        from repro.accel.lower import variant_for
 
         print("kernel-config validation (device catalog sweep):")
         for device in DEVICE_CATALOG.values():
@@ -416,7 +417,7 @@ def verify_main(argv: Optional[List[str]] = None) -> int:
                 requested = KernelConfig(
                     state_count=states,
                     precision="single",
-                    variant="gpu" if is_gpu else "x86",
+                    variant=variant_for(device, "x86"),
                     use_fma=True,
                     use_local_memory=is_gpu,
                 )

@@ -2,10 +2,35 @@
 
 BEAGLE itself has no tree type; this helper is the canonical *client*
 gluing the tree substrate to an instance — the pattern every example and
-the MCMC application follow.  It owns the buffer-index conventions
-(partials buffer *i* = node *i*, matrix *i* = branch above node *i*) and
+the MCMC application follow.  It owns the buffer-index conventions and
 supports incremental re-evaluation after branch edits, which is what
 makes MCMC proposals cheap.
+
+Buffer layout (``n`` nodes, ``k = n - n_tips`` internal nodes, ``u`` the
+upper-partials buffers of :mod:`repro.core.upper` — ``2n + 1`` when
+enabled, else none):
+
+=====================  ==============================================
+partials ``0..n-1``    slot 0 of node *i* (tips never change)
+partials ``n..n+u-1``  upper partials
+partials ``n+u..``     slot 1 of internal node *i* at ``n + u + i - n_tips``
+matrices ``0..n-1``    slot 0 of the branch above node *i*
+matrices ``n, n+1``    first/second derivative scratch
+matrix ``n+2``         identity (upper partials only)
+matrices after those   slot 1 of the branch above node *i*, in node order
+scale ``0..k-1``       slot 0 of internal node *i* at ``i - n_tips``
+scale ``k``            slot 0 of the cumulative buffer
+scale ``k+1..2k+1``    slot 1 of the same, in the same order
+=====================  ==============================================
+
+A per-node slot map says which slot holds each node's current partials
+(and scale factors) and branch matrix.  It stays the identity — buffer
+*i* is node *i*, today's layout — unless a client opens a store point
+with :meth:`TreeLikelihood.store`: from then on the first write of a
+node's partials or matrix goes to the slot the store point does not
+reference, and :meth:`TreeLikelihood.revert` returns to the store point
+by resetting the map, computing nothing (BEAST's storeState and
+restoreState; MrBayes flips its buffer indices the same way).
 """
 
 from __future__ import annotations
@@ -16,7 +41,7 @@ import numpy as np
 
 from repro.core.flags import OP_NONE, Flag
 from repro.core.instance import BeagleInstance
-from repro.core.types import InstanceConfig
+from repro.core.types import InstanceConfig, Operation
 from repro.model.ratematrix import SubstitutionModel
 from repro.model.sitemodel import SiteModel
 from repro.seq.patterns import PatternSet
@@ -113,26 +138,53 @@ class TreeLikelihood:
         n_tips = tree.n_tips
         n_nodes = tree.n_nodes
         n_internal = n_nodes - n_tips
-        self._cumulative_scale = n_internal if use_scaling else OP_NONE
         # Two spare matrix slots hold first/second derivative matrices
         # for Newton-style branch optimisation (see root_edge_derivatives);
         # upper-partials mode adds 2n+1 partials buffers and an identity
-        # matrix slot (see repro.core.upper).
+        # matrix slot (see repro.core.upper).  Slot 1 of every internal
+        # node's partials and of every branch matrix follows (see the
+        # module docstring).
         extra_partials = (2 * n_nodes + 1) if enable_upper_partials else 0
         extra_matrices = 3 if enable_upper_partials else 2
         config = InstanceConfig(
             tip_count=n_tips,
             partials_buffer_count=(
                 n_nodes - (n_tips if use_tip_states else 0) + extra_partials
+                + n_internal
             ),
             compact_buffer_count=n_tips if use_tip_states else 0,
             state_count=state_count,
             pattern_count=n_patterns,
             eigen_buffer_count=1,
-            matrix_buffer_count=n_nodes + extra_matrices,
+            matrix_buffer_count=2 * n_nodes + extra_matrices,
             category_count=site_model.n_categories,
-            scale_buffer_count=(n_internal + 1) if use_scaling else 0,
+            scale_buffer_count=2 * (n_internal + 1) if use_scaling else 0,
         )
+        # Buffer index of each node's partials / matrix / scale factors,
+        # per slot, and of the cumulative scale buffer per slot.
+        spare_partials = n_nodes + extra_partials - n_tips
+        spare_matrices = n_nodes + extra_matrices
+        self._partials_buffers = (
+            list(range(n_nodes)),
+            list(range(n_tips))
+            + [spare_partials + v for v in range(n_tips, n_nodes)],
+        )
+        self._matrix_buffers = (
+            list(range(n_nodes)),
+            [spare_matrices + v for v in range(n_nodes)],
+        )
+        self._scale_buffers = (
+            [OP_NONE] * n_tips + list(range(n_internal)),
+            [OP_NONE] * n_tips
+            + [n_internal + 1 + k for k in range(n_internal)],
+        )
+        self._cumulative_buffers = (
+            (n_internal, 2 * n_internal + 1) if use_scaling
+            else (OP_NONE, OP_NONE)
+        )
+        self._internal_nodes = range(n_tips, n_nodes)
+        self._reset_slot_map()
+        self._sites_current = True
         self.derivative_matrix_indices = (n_nodes, n_nodes + 1)
         self.enable_upper_partials = enable_upper_partials
         self.use_tip_states = use_tip_states
@@ -231,6 +283,8 @@ class TreeLikelihood:
             )
         self.load_tip_data(data)
         self._matrices_current = False
+        # Nothing of the old analysis is kept.
+        self._reset_slot_map()
 
     # -- observability -------------------------------------------------------
 
@@ -265,65 +319,175 @@ class TreeLikelihood:
         """Number of site patterns this likelihood evaluates."""
         return self.instance.config.pattern_count
 
+    # -- buffer slots --------------------------------------------------------
+
+    def _reset_slot_map(self) -> None:
+        """Identity slot map (0 per node and for the cumulative buffer),
+        no store point."""
+        n_nodes = len(self._matrix_buffers[0])
+        self._partials_slot = [0] * n_nodes
+        self._matrix_slot = [0] * n_nodes
+        self._cumulative_slot = 0
+        self._stored = None
+
+    def partials_index(self, node_index: int) -> int:
+        """Buffer holding ``node_index``'s current (lower) partials."""
+        return self._partials_buffers[self._partials_slot[node_index]][
+            node_index
+        ]
+
+    def matrix_index(self, node_index: int) -> int:
+        """Buffer holding the current matrix of the branch above a node."""
+        return self._matrix_buffers[self._matrix_slot[node_index]][node_index]
+
+    def writable_matrix_index(self, node_index: int) -> int:
+        """Buffer to write a node's branch matrix to, and read it from after.
+
+        Without a store point this is the current buffer; with one, the
+        slot the store point does not reference.
+        """
+        if self._stored is not None:
+            self._matrix_slot[node_index] = 1 - self._stored[1][node_index]
+        return self.matrix_index(node_index)
+
+    @property
+    def _cumulative_scale(self) -> int:
+        """The current cumulative scale buffer (``OP_NONE`` unscaled)."""
+        return self._cumulative_buffers[self._cumulative_slot]
+
+    def store(self) -> None:
+        """Open a store point at the current buffers (BEAST's storeState).
+
+        Until the next ``store()``, the first write of a node's partials,
+        scale factors or branch matrix goes to the node's other slot, so
+        the buffers the store point references stay intact for
+        :meth:`revert`.  Costs one copy of the slot map.
+        """
+        self._stored = (
+            list(self._partials_slot),
+            list(self._matrix_slot),
+            self._cumulative_slot,
+            self._matrices_current,
+        )
+
+    def revert(self) -> None:
+        """Return to the store point (BEAST's restoreState).
+
+        Resets the slot map and computes nothing; the store point stays
+        open.  Model parameters are not buffered: a client that changed
+        them since :meth:`store` reinstalls the stored ones first.  Upper
+        partials go stale.
+        """
+        if self._stored is None:
+            raise RuntimeError("revert() needs a store point; call store()")
+        partials, matrices, cumulative, current = self._stored
+        self._partials_slot[:] = partials
+        self._matrix_slot[:] = matrices
+        self._cumulative_slot = cumulative
+        self._matrices_current = current
+        self._sites_current = False
+        if self._upper is not None:
+            self._upper.invalidate()
+
+    def _redirect(self, plan):
+        """``plan``'s matrix indices and operations through the slot map.
+
+        Every node ``plan`` writes first moves to the slot the store
+        point does not reference; children are read from their current
+        slots (post-order, so after their own move).
+        """
+        stored_partials, stored_matrices = self._stored[0], self._stored[1]
+        p_slot, m_slot = self._partials_slot, self._matrix_slot
+        p_buf, m_buf = self._partials_buffers, self._matrix_buffers
+        s_buf = self._scale_buffers
+        matrices = []
+        for v in plan.branch_node_indices.tolist():
+            m_slot[v] = 1 - stored_matrices[v]
+            matrices.append(m_buf[m_slot[v]][v])
+        operations = []
+        for op in plan.operations:
+            d, c1, c2 = op.destination, op.child1, op.child2
+            p_slot[d] = 1 - stored_partials[d]
+            operations.append(Operation(
+                destination=p_buf[p_slot[d]][d],
+                child1=p_buf[p_slot[c1]][c1],
+                child1_matrix=m_buf[m_slot[c1]][c1],
+                child2=p_buf[p_slot[c2]][c2],
+                child2_matrix=m_buf[m_slot[c2]][c2],
+                write_scale=(
+                    s_buf[p_slot[d]][d] if op.write_scale != OP_NONE
+                    else OP_NONE
+                ),
+                read_scale=op.read_scale,
+            ))
+        return matrices, operations
+
     # -- evaluation ----------------------------------------------------------
 
-    def _refresh_matrices(self) -> None:
-        plan = plan_traversal(self.tree)
-        self.instance.update_transition_matrices(
-            0, list(plan.branch_node_indices), plan.branch_lengths
+    def _evaluate(self, plan) -> float:
+        """Run ``plan``'s matrix updates and operations, then the root."""
+        matrices, operations = (
+            (list(plan.branch_node_indices), plan.operations)
+            if self._stored is None else self._redirect(plan)
         )
-        self._matrices_current = True
+        if matrices:
+            self.instance.update_transition_matrices(
+                0, matrices, plan.branch_lengths
+            )
+        if operations:
+            self.instance.update_partials(operations)
+        if self.use_scaling:
+            # The cumulative buffer must cover every node, so the full
+            # accumulation is redone (factors of untouched nodes are
+            # unchanged).
+            if self._stored is not None:
+                self._cumulative_slot = 1 - self._stored[2]
+            self.instance.reset_scale_factors(self._cumulative_scale)
+            self.instance.accumulate_scale_factors(
+                [self._scale_buffers[self._partials_slot[v]][v]
+                 for v in self._internal_nodes],
+                self._cumulative_scale,
+            )
+        self._sites_current = True
+        return self.instance.calculate_root_log_likelihoods(
+            self.partials_index(plan.root_index), 0, 0,
+            self._cumulative_scale,
+        )
 
     def log_likelihood(self) -> float:
         """Full post-order re-evaluation of the tree."""
-        plan = plan_traversal(self.tree, use_scaling=self.use_scaling)
-        self.instance.update_transition_matrices(
-            0, list(plan.branch_node_indices), plan.branch_lengths
+        value = self._evaluate(
+            plan_traversal(self.tree, use_scaling=self.use_scaling)
         )
         self._matrices_current = True
-        self.instance.update_partials(plan.operations)
-        if self.use_scaling:
-            self.instance.reset_scale_factors(self._cumulative_scale)
-            self.instance.accumulate_scale_factors(
-                list(range(self._cumulative_scale)), self._cumulative_scale
-            )
-        return self.instance.calculate_root_log_likelihoods(
-            plan.root_index, 0, 0, self._cumulative_scale
-        )
+        return value
 
     def update_branch_lengths(self, node_indices: Sequence[int]) -> float:
         """Incremental re-evaluation after editing some branch lengths.
 
         Only the matrices of the edited branches and the partials of
-        their ancestors are recomputed.  With scaling enabled the
-        cumulative buffer must cover every node, so the full accumulation
-        is redone (factors of untouched nodes are unchanged).
+        their ancestors are recomputed.
         """
         if not self._matrices_current:
             return self.log_likelihood()
-        plan = plan_partial_update(
+        return self._evaluate(plan_partial_update(
             self.tree, node_indices, use_scaling=self.use_scaling
-        )
-        if plan.branch_node_indices.size:
-            self.instance.update_transition_matrices(
-                0, list(plan.branch_node_indices), plan.branch_lengths
-            )
-        if plan.operations:
-            self.instance.update_partials(plan.operations)
-        if self.use_scaling:
-            self.instance.reset_scale_factors(self._cumulative_scale)
-            self.instance.accumulate_scale_factors(
-                list(range(self._cumulative_scale)), self._cumulative_scale
-            )
-        return self.instance.calculate_root_log_likelihoods(
-            plan.root_index, 0, 0, self._cumulative_scale
-        )
+        ))
 
     def invalidate(self) -> None:
         """Mark cached matrices stale (call after topology edits)."""
         self._matrices_current = False
 
     def site_log_likelihoods(self) -> np.ndarray:
+        """Per-pattern log-likelihoods of the current buffers."""
+        if not self._sites_current:
+            # After revert() the instance still holds the rejected
+            # evaluation's values; re-reduce the root (no partials).
+            self.instance.calculate_root_log_likelihoods(
+                self.partials_index(self.tree.root.index), 0, 0,
+                self._cumulative_scale,
+            )
+            self._sites_current = True
         return self.instance.get_site_log_likelihoods()
 
     @property
@@ -365,7 +529,7 @@ class TreeLikelihood:
         if total_length < 0:
             raise ValueError("edge length must be non-negative")
         d1_idx, d2_idx = self.derivative_matrix_indices
-        scratch = left.index  # reuse left's matrix slot for P(t_total)
+        scratch = self.writable_matrix_index(left.index)  # P(t_total)
         try:
             self.instance.update_transition_matrices(
                 0, [scratch], [total_length],
@@ -373,7 +537,9 @@ class TreeLikelihood:
                 second_derivative_indices=[d2_idx],
             )
             return self.instance.calculate_edge_derivatives(
-                right.index, left.index, scratch, d1_idx, d2_idx,
+                self.partials_index(right.index),
+                self.partials_index(left.index),
+                scratch, d1_idx, d2_idx,
                 cumulative_scale_index=self._cumulative_scale,
             )
         finally:
@@ -381,7 +547,7 @@ class TreeLikelihood:
             # mid-derivative must not leave P(t_total) in left's slot,
             # or every subsequent likelihood silently uses it.
             self.instance.update_transition_matrices(
-                0, [left.index], [left.branch_length]
+                0, [scratch], [left.branch_length]
             )
 
     def branch_gradient(

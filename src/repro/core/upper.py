@@ -56,7 +56,13 @@ class UpperPartials:
     ========================  =========================
 
     plus one identity transition matrix at ``matrix index n + 2`` (after
-    the two derivative scratch slots).
+    the two derivative scratch slots).  These buffers have one slot
+    each.  Lower partials and branch matrices have two (see
+    :mod:`repro.core.highlevel`), so they are read through the
+    tree likelihood's slot map — ``tl.partials_index(v)`` and
+    ``tl.matrix_index(v)`` — never by node index; a
+    :meth:`~repro.core.highlevel.TreeLikelihood.revert` makes these
+    buffers stale.
     """
 
     def __init__(self, tree_likelihood) -> None:
@@ -115,6 +121,7 @@ class UpperPartials:
         ``tl.log_likelihood()`` first); cost is two kernel launches per
         non-root node, issued as one dependency-ordered operation list.
         """
+        tl = self.tl
         ops: List[Operation] = []
         root = self.tree.root
         # W(root) = ones: alias by copying via identity op into W slot.
@@ -142,8 +149,8 @@ class UpperPartials:
                     destination=self.tmp_index(node.index),
                     child1=self.w_index(parent.index),
                     child1_matrix=self._identity_matrix,
-                    child2=sibling.index,
-                    child2_matrix=sibling.index,
+                    child2=tl.partials_index(sibling.index),
+                    child2_matrix=tl.matrix_index(sibling.index),
                 )
             )
             # W(v) = P_v tmp(v)
@@ -151,7 +158,7 @@ class UpperPartials:
                 Operation(
                     destination=self.w_index(node.index),
                     child1=self.tmp_index(node.index),
-                    child1_matrix=node.index,
+                    child1_matrix=tl.matrix_index(node.index),
                     child2=self._ones_index,
                     child2_matrix=self._identity_matrix,
                 )
@@ -183,8 +190,8 @@ class UpperPartials:
             raise ValueError("the root has no branch")
         return self.tl.instance.calculate_edge_log_likelihoods(
             self.tmp_index(node_index),
-            node_index,
-            node_index,
+            self.tl.partials_index(node_index),
+            self.tl.matrix_index(node_index),
         )
 
     def node_log_likelihood(self, node_index: int) -> float:
@@ -193,7 +200,7 @@ class UpperPartials:
         self._require_current()
         return self.tl.instance.calculate_edge_log_likelihoods(
             self.w_index(node_index),
-            node_index,
+            self.tl.partials_index(node_index),
             self._identity_matrix,
         )
 
@@ -214,16 +221,17 @@ class UpperPartials:
         if t < 0:
             raise ValueError("branch length must be non-negative")
         d1_idx, d2_idx = self.tl.derivative_matrix_indices
+        matrix = self.tl.writable_matrix_index(node_index)
         try:
             self.tl.instance.update_transition_matrices(
-                0, [node_index], [t],
+                0, [matrix], [t],
                 first_derivative_indices=[d1_idx],
                 second_derivative_indices=[d2_idx],
             )
             return self.tl.instance.calculate_edge_derivatives(
                 self.tmp_index(node_index),
-                node_index,
-                node_index,
+                self.tl.partials_index(node_index),
+                matrix,
                 d1_idx,
                 d2_idx,
             )
@@ -233,7 +241,7 @@ class UpperPartials:
             # after a failure silently corrupts every later likelihood.
             if t != node.branch_length:
                 self.tl.instance.update_transition_matrices(
-                    0, [node_index], [node.branch_length]
+                    0, [matrix], [node.branch_length]
                 )
 
     def branch_gradients(
@@ -264,7 +272,7 @@ class UpperPartials:
             if node.is_root:
                 raise ValueError("the root has no branch")
             parents.append(self.tmp_index(idx))
-            children.append(idx)
+            children.append(self.tl.partials_index(idx))
             lengths.append(node.branch_length)
         return self.tl.instance.calculate_branch_gradients(
             0, parents, children, lengths

@@ -35,6 +35,12 @@ class BeagleBackend:
     Branch-length moves use incremental re-evaluation (only ancestors of
     the edited branch recompute); topology and parameter moves trigger a
     full traversal, with parameter moves also re-installing the model.
+
+    A rejected move is undone by flipping buffer slots back
+    (:meth:`TreeLikelihood.revert`), not by recomputing it.  The store
+    point is taken lazily, at the first evaluation after an accepted
+    proposal — which may be the gradient provider's, inside
+    ``propose()`` — so a proposal's every write lands in the spare slots.
     """
 
     def __init__(
@@ -49,6 +55,16 @@ class BeagleBackend:
         self.tl = TreeLikelihood(
             state.tree, data, model, site_model, **instance_kwargs
         )
+        # Whether the next evaluation takes a store point first: at
+        # start-up and after an accepted proposal.  propose_eval sets it
+        # (the proposal stands unless restore() follows); restore clears
+        # it, because the store point is the current state again.
+        self._store_due = True
+
+    def _store_if_due(self) -> None:
+        if self._store_due:
+            self.tl.store()
+            self._store_due = False
 
     def _refresh_model(self, state: PhyloState) -> None:
         model, site_model = self.model_factory(state.parameters)
@@ -74,9 +90,13 @@ class BeagleBackend:
         backend to have been built with ``enable_upper_partials=True``
         (and without scaling).
         """
+        self._store_if_due()
         return self.tl.branch_gradient(node_indices)
 
     def propose_eval(self, state: PhyloState, pr: ProposalResult) -> float:
+        self._store_if_due()
+        # Unless restore() comes next, this proposal is accepted.
+        self._store_due = True
         if pr.parameters_changed:
             self._refresh_model(state)
             return self.tl.log_likelihood()
@@ -90,12 +110,8 @@ class BeagleBackend:
     def restore(self, state: PhyloState, pr: ProposalResult) -> None:
         if pr.parameters_changed:
             self._refresh_model(state)
-            self.tl.log_likelihood()
-        elif pr.topology_changed:
-            self.tl.invalidate()
-            self.tl.log_likelihood()
-        elif pr.dirty_nodes:
-            self.tl.update_branch_lengths(pr.dirty_nodes)
+        self.tl.revert()
+        self._store_due = False
 
     def finalize(self) -> None:
         self.tl.finalize()
@@ -109,7 +125,8 @@ class PartitionedBackend:
     one-instance-per-subset pattern *inside* an MCMC run.  Partition
     models are fixed for the run (branch-length and topology moves only);
     a parameter move raises, so use a proposal mix without parameter
-    proposals.
+    proposals.  Rejected moves revert every component's buffer slots,
+    as in :class:`BeagleBackend`.
     """
 
     def __init__(self, state: PhyloState, alignment, partitions,
@@ -119,6 +136,7 @@ class PartitionedBackend:
         self.pl = PartitionedLikelihood(
             state.tree, alignment, partitions, **shared_instance_kwargs
         )
+        self._store_due = True
 
     def initial(self, state: PhyloState) -> float:
         return self.pl.log_likelihood()
@@ -129,6 +147,11 @@ class PartitionedBackend:
                 "PartitionedBackend runs with fixed partition models; "
                 "remove parameter proposals from the mix"
             )
+        if self._store_due:
+            for component in self.pl.components:
+                component.store()
+        # Unless restore() comes next, this proposal is accepted.
+        self._store_due = True
         if pr.topology_changed:
             for component in self.pl.components:
                 component.invalidate()
@@ -138,12 +161,9 @@ class PartitionedBackend:
         return self.pl.log_likelihood()
 
     def restore(self, state: PhyloState, pr: ProposalResult) -> None:
-        if pr.topology_changed:
-            for component in self.pl.components:
-                component.invalidate()
-            self.pl.log_likelihood()
-        elif pr.dirty_nodes:
-            self.pl.update_branch_lengths(pr.dirty_nodes)
+        for component in self.pl.components:
+            component.revert()
+        self._store_due = False
 
     def finalize(self) -> None:
         self.pl.finalize()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammainc, gammaincinv
 
 
 def discrete_gamma_rates(alpha: float, n_categories: int) -> np.ndarray:
@@ -28,13 +28,23 @@ def discrete_gamma_rates(alpha: float, n_categories: int) -> np.ndarray:
         raise ValueError(f"need at least one category, got {n_categories}")
     if n_categories == 1:
         return np.ones(1)
-    dist = stats.gamma(a=alpha, scale=1.0 / alpha)
-    edges = dist.ppf(np.linspace(0.0, 1.0, n_categories + 1))
+    # Gamma(alpha, scale) quantiles and CDFs through scipy.special, with
+    # the arithmetic of ``scipy.stats.gamma(a, scale=s).ppf``/``.cdf``
+    # (quantile * s, CDF of x / s, exact 0 and 1 at the support ends), so
+    # the rates match it bit for bit without importing scipy.stats.
+    scale = 1.0 / alpha
+    q = np.linspace(0.0, 1.0, n_categories + 1)
+    edges = np.empty_like(q)
+    edges[0], edges[-1] = 0.0, np.inf
+    edges[1:-1] = gammaincinv(alpha, q[1:-1]) * scale
     # Conditional mean of a Gamma(a, s) on [lo, hi] equals
     # a*s * (F_{a+1}(hi) - F_{a+1}(lo)) / (F_a(hi) - F_a(lo));
     # with equal-probability bins the denominator is 1/k.
-    dist_up = stats.gamma(a=alpha + 1.0, scale=1.0 / alpha)
-    cdf_up = dist_up.cdf(edges)
+    x = edges / scale
+    cdf_up = np.zeros_like(x)
+    cdf_up[-1] = 1.0
+    inside = (x > 0.0) & (x < np.inf)
+    cdf_up[inside] = gammainc(alpha + 1.0, x[inside])
     rates = (cdf_up[1:] - cdf_up[:-1]) * n_categories
     # alpha * scale == 1 for the unit-mean parameterisation.
     return rates / rates.mean() * 1.0

@@ -9,6 +9,7 @@ from repro.cli import (
     info_main,
     serve_main,
     trace_main,
+    verify_main,
 )
 
 
@@ -56,6 +57,21 @@ class TestExperiments:
         assert experiments_main([]) == 0
         out = capsys.readouterr().out
         assert "Figure 6" in out and "Table V" in out
+
+
+class TestVerify:
+    def test_kernel_sweep_requests_the_variant_each_device_runs(
+        self, capsys
+    ):
+        # The Xeon Phi runs the gpu variant; asking it for x86 used to
+        # print "requested config rejected" with a variant-mismatch
+        # warning for every state count.
+        assert verify_main(["--kernels", "--strict"]) == 0
+        out = capsys.readouterr().out
+        assert "variant-mismatch" not in out
+        phi = [line for line in out.splitlines() if "Xeon Phi" in line]
+        assert len(phi) == 3
+        assert all("requested config OK" in line for line in phi)
 
 
 class TestArgumentChecks:

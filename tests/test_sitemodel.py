@@ -1,5 +1,9 @@
 """Discrete-gamma rate heterogeneity and invariant sites."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -46,6 +50,50 @@ class TestDiscreteGamma:
     def test_invalid_category_count(self):
         with pytest.raises(ValueError, match="category"):
             discrete_gamma_rates(0.5, 0)
+
+
+def _stats_reference(alpha, k):
+    """The scipy.stats formulation the rates are defined by."""
+    if k == 1:
+        return np.ones(1)
+    edges = stats.gamma(a=alpha, scale=1.0 / alpha).ppf(
+        np.linspace(0.0, 1.0, k + 1)
+    )
+    cdf_up = stats.gamma(a=alpha + 1.0, scale=1.0 / alpha).cdf(edges)
+    rates = (cdf_up[1:] - cdf_up[:-1]) * k
+    return rates / rates.mean() * 1.0
+
+
+class TestScipyStatsFree:
+    def test_rates_equal_the_scipy_stats_reference_exactly(self):
+        alphas = np.concatenate([
+            np.geomspace(1e-3, 1e3, 150),
+            np.random.default_rng(0).uniform(0.01, 20.0, 100),
+        ])
+        for alpha in alphas:
+            for k in (1, 2, 3, 4, 5, 8, 16):
+                got = discrete_gamma_rates(float(alpha), k)
+                want = _stats_reference(float(alpha), k)
+                assert got.tobytes() == want.tobytes(), (alpha, k)
+
+    def test_import_loads_neither_scipy_stats_nor_optimize(self):
+        code = (
+            "import sys, repro, repro.mcmc\n"
+            "bad = [m for m in ('scipy.stats', 'scipy.optimize')\n"
+            "       if m in sys.modules]\n"
+            "print(','.join(bad))\n"
+        )
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert out.stdout.strip() == ""
 
 
 class TestSiteModel:

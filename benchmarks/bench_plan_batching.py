@@ -1,6 +1,6 @@
-"""Deferred execution plans: level batching and matrix caching payoffs.
+"""Deferred execution plans: level batching payoffs.
 
-Three measurements behind the plan layer:
+Two measurements behind the plan layer:
 
 * **Kernel-launch amortisation** — replaying a traversal through
   ``execute_plan`` fuses each dependency level of partials operations
@@ -9,12 +9,8 @@ Three measurements behind the plan layer:
 * **Thread-pool throughput** — the deferred path hands whole levels to
   the pool (one fork/join wave per level) instead of one wave per
   ``update_partials`` call; pytest-benchmark times both.
-* **Matrix-cache hit rate** — an MCMC-style propose/reject loop on
-  branch lengths; rejected proposals restore lengths the cache still
-  holds, so the incremental path stops paying for eigen exponentiation.
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import build_impl
@@ -109,49 +105,3 @@ def test_threadpool_partials_pass(benchmark, mode):
         run = lambda: impl.execute_plan(plan)
     benchmark.pedantic(run, rounds=3, iterations=1)
     impl.finalize()
-
-
-def test_mcmc_matrix_cache_hits(record):
-    """Propose/reject branch-length moves; rejections hit the cache."""
-    from repro.core.highlevel import TreeLikelihood
-    from repro.model import HKY85, SiteModel
-    from repro.seq import compress_patterns, simulate_alignment
-    from repro.tree import yule_tree
-
-    rng = np.random.default_rng(11)
-    tree = yule_tree(16, rng=12)
-    model = HKY85(2.0)
-    sites = SiteModel.gamma(0.5, 4)
-    patterns = compress_patterns(
-        simulate_alignment(tree, model, 500, sites, rng=13)
-    )
-    lik = TreeLikelihood(tree, patterns, model, sites, deferred=True)
-    current = lik.log_likelihood()
-    internal = [n for n in tree.root.postorder() if not n.is_tip
-                and n is not tree.root]
-    accepted = rejected = 0
-    for step in range(60):
-        node = internal[int(rng.integers(len(internal)))]
-        old = node.branch_length
-        node.branch_length = old * float(np.exp(0.3 * rng.normal()))
-        proposed = lik.update_branch_lengths([node.index])
-        if np.log(rng.uniform()) < proposed - current:
-            current = proposed
-            accepted += 1
-        else:
-            node.branch_length = old
-            current = lik.update_branch_lengths([node.index])
-            rejected += 1
-    stats = lik.instance.matrix_cache_stats()
-    lik.finalize()
-
-    assert stats["hits"] > 0
-    assert stats["hit_rate"] > 0
-    table = format_table(
-        ["accepted", "rejected", "cache hits", "cache misses", "hit rate"],
-        [[accepted, rejected, int(stats["hits"]), int(stats["misses"]),
-          round(stats["hit_rate"], 3)]],
-        title="Matrix cache under an MCMC branch-length sampler "
-              "(16 tips, 60 steps)",
-    )
-    record("plan_matrix_cache", table)

@@ -50,6 +50,48 @@ from repro.tree.traversal import plan_partial_update, plan_traversal
 from repro.tree.tree import Tree
 
 
+def instance_config(
+    n_tips: int,
+    n_patterns: int,
+    state_count: int,
+    category_count: int,
+    *,
+    use_tip_states: bool = True,
+    use_scaling: bool = False,
+    enable_upper_partials: bool = False,
+) -> InstanceConfig:
+    """The buffer counts of a :class:`TreeLikelihood` instance.
+
+    Follows the layout in the module docstring for a rooted binary tree
+    of ``n_tips`` tips.  Memory estimates
+    (:func:`repro.partition.autoselect.estimate_instance_memory`) size
+    instances from the same counts.
+    """
+    n_nodes = 2 * n_tips - 1
+    n_internal = n_nodes - n_tips
+    # Two matrices hold first/second derivatives for Newton-style branch
+    # optimisation (see root_edge_derivatives); upper-partials mode adds
+    # 2n+1 partials buffers and an identity matrix (see
+    # repro.core.upper).  Slot 1 of every internal node's partials and
+    # of every branch matrix follows.
+    extra_partials = (2 * n_nodes + 1) if enable_upper_partials else 0
+    extra_matrices = 3 if enable_upper_partials else 2
+    return InstanceConfig(
+        tip_count=n_tips,
+        partials_buffer_count=(
+            n_nodes - (n_tips if use_tip_states else 0) + extra_partials
+            + n_internal
+        ),
+        compact_buffer_count=n_tips if use_tip_states else 0,
+        state_count=state_count,
+        pattern_count=n_patterns,
+        eigen_buffer_count=1,
+        matrix_buffer_count=2 * n_nodes + extra_matrices,
+        category_count=category_count,
+        scale_buffer_count=2 * (n_internal + 1) if use_scaling else 0,
+    )
+
+
 class TreeLikelihood:
     """Evaluate (and re-evaluate) one alignment's likelihood on one tree.
 
@@ -138,32 +180,20 @@ class TreeLikelihood:
         n_tips = tree.n_tips
         n_nodes = tree.n_nodes
         n_internal = n_nodes - n_tips
-        # Two spare matrix slots hold first/second derivative matrices
-        # for Newton-style branch optimisation (see root_edge_derivatives);
-        # upper-partials mode adds 2n+1 partials buffers and an identity
-        # matrix slot (see repro.core.upper).  Slot 1 of every internal
-        # node's partials and of every branch matrix follows (see the
-        # module docstring).
-        extra_partials = (2 * n_nodes + 1) if enable_upper_partials else 0
-        extra_matrices = 3 if enable_upper_partials else 2
-        config = InstanceConfig(
-            tip_count=n_tips,
-            partials_buffer_count=(
-                n_nodes - (n_tips if use_tip_states else 0) + extra_partials
-                + n_internal
-            ),
-            compact_buffer_count=n_tips if use_tip_states else 0,
-            state_count=state_count,
-            pattern_count=n_patterns,
-            eigen_buffer_count=1,
-            matrix_buffer_count=2 * n_nodes + extra_matrices,
-            category_count=site_model.n_categories,
-            scale_buffer_count=2 * (n_internal + 1) if use_scaling else 0,
+        config = instance_config(
+            n_tips,
+            n_patterns,
+            state_count,
+            site_model.n_categories,
+            use_tip_states=use_tip_states,
+            use_scaling=self.use_scaling,
+            enable_upper_partials=enable_upper_partials,
         )
         # Buffer index of each node's partials / matrix / scale factors,
-        # per slot, and of the cumulative scale buffer per slot.
-        spare_partials = n_nodes + extra_partials - n_tips
-        spare_matrices = n_nodes + extra_matrices
+        # per slot, and of the cumulative scale buffer per slot.  Slot 1
+        # of the partials and of the matrices closes each index space.
+        spare_partials = config.total_buffer_count - n_nodes
+        spare_matrices = config.matrix_buffer_count - n_nodes
         self._partials_buffers = (
             list(range(n_nodes)),
             list(range(n_tips))
@@ -311,8 +341,13 @@ class TreeLikelihood:
         return self.instance.flush()
 
     def matrix_cache_stats(self):
-        """The underlying instance's transition-matrix cache statistics."""
-        return self.instance.matrix_cache_stats()
+        """``{"hits": 0, "misses": n}``: ``n`` transition matrices computed.
+
+        Kept for callers that read matrix counts under the keys of the
+        retired transition-matrix memo cache; every matrix is computed,
+        so ``hits`` stays 0.
+        """
+        return {"hits": 0, "misses": self.instance.impl.matrices_computed}
 
     @property
     def pattern_count(self) -> int:

@@ -471,10 +471,6 @@ class BeagleInstance:
         self._sync()
         return self.impl.get_site_log_likelihoods()
 
-    def matrix_cache_stats(self) -> Dict[str, float]:
-        """Hit/miss counters for the transition-matrix memo cache."""
-        return self.impl.matrix_cache_stats()
-
     # -- lifecycle -------------------------------------------------------------
 
     def finalize(self) -> None:

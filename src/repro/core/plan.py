@@ -262,7 +262,7 @@ class ExecutionPlan:
             self._readers_since_write.setdefault(key, []).append(node)
         for key in writes:
             writer = self._last_writer.get(key)
-            if writer is not None:
+            if writer is not None and writer is not node:  # WAW
                 node.deps.add(writer)
             for reader in self._readers_since_write.get(key, ()):  # WAR
                 if reader is not node:

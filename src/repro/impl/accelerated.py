@@ -425,17 +425,6 @@ class AcceleratedImplementation(BaseImplementation):
         for op in operations:
             self._apply_device_scaling(op, geom)
 
-    def _install_matrix(self, index: int, matrices: np.ndarray) -> None:
-        """Cache-hit install: mirror to host and upload, no matrix kernel."""
-        super()._install_matrix(index, matrices)
-        self.interface.upload(
-            self.interface.slot(self._d_matrices, index), matrices
-        )
-        self.interface.upload(
-            self.interface.slot(self._d_matrices_ext, index),
-            self._matrices_ext[index],
-        )
-
     def accumulate_scale_factors(self, scale_indices, cumulative_index) -> None:
         self._check_scale(cumulative_index)
         if self._d_scales is None:

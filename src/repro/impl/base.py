@@ -12,7 +12,6 @@ hardware-specific leaves (paper Figs. 1 and 3).
 from __future__ import annotations
 
 import abc
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -40,55 +39,6 @@ from repro.util.errors import (
 PlanResult = Union[float, np.ndarray]
 
 
-class TransitionMatrixCache:
-    """LRU memo of eigen-derived transition matrices.
-
-    MCMC samplers repeatedly propose and reject branch lengths, so the
-    same ``P(r_c * t)`` is requested many times per eigen system.  The
-    cache keys on ``(eigen index, eigen version, rates version, t)`` —
-    the version counters are bumped whenever the eigen decomposition or
-    the category rates change, so stale entries can never be served and
-    hits are bit-identical to recomputation.
-    """
-
-    def __init__(self, capacity: int = 256) -> None:
-        self.capacity = capacity
-        self._store: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: tuple) -> Optional[np.ndarray]:
-        entry = self._store.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._store.move_to_end(key)
-        self.hits += 1
-        return entry
-
-    def put(self, key: tuple, matrices: np.ndarray) -> None:
-        self._store[key] = matrices
-        self._store.move_to_end(key)
-        while len(self._store) > self.capacity:
-            self._store.popitem(last=False)
-
-    def clear(self) -> None:
-        self._store.clear()
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def stats(self) -> Dict[str, float]:
-        total = self.hits + self.misses
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "entries": len(self._store),
-            "capacity": self.capacity,
-            "hit_rate": (self.hits / total) if total else 0.0,
-        }
-
-
 class BaseImplementation(abc.ABC):
     """Shared state and semantics for every BEAGLE implementation.
 
@@ -109,9 +59,6 @@ class BaseImplementation(abc.ABC):
     #: this are rescaled; the rest keep factor one.  Set per precision to
     #: sit far above the underflow boundary.
     DYNAMIC_SCALING_THRESHOLDS = {"single": 1e-10, "double": 1e-200}
-
-    #: Transition-matrix memo capacity (entries); 0 disables the cache.
-    MATRIX_CACHE_CAPACITY = 256
 
     def __init__(
         self,
@@ -162,11 +109,9 @@ class BaseImplementation(abc.ABC):
         self._scale_factors = np.zeros((max(c.scale_buffer_count, 0), c.pattern_count))
         self._site_log_likelihoods: Optional[np.ndarray] = None
 
-        # Transition-matrix memoisation.  Version counters invalidate
-        # entries when the eigen system or category rates change.
-        self._matrix_cache = TransitionMatrixCache(self.MATRIX_CACHE_CAPACITY)
-        self._eigen_versions = [0] * max(c.eigen_buffer_count, 0)
-        self._rates_version = 0
+        #: Transition matrices computed so far (eager calls and flushed
+        #: plans alike); derivative matrices are not counted.
+        self.matrices_computed = 0
 
         # Observability: hot paths check `self._tracer.enabled` exactly
         # once per call, so the default null tracer costs one branch.
@@ -353,7 +298,6 @@ class BaseImplementation(abc.ABC):
             inverse_eigenvectors,
             eigenvalues,
         )
-        self._eigen_versions[eigen_index] += 1
 
     def set_category_rates(self, rates: Sequence[float]) -> None:
         rates = np.asarray(rates, dtype=float)
@@ -365,7 +309,6 @@ class BaseImplementation(abc.ABC):
         if np.any(rates < 0):
             raise ValueError("category rates must be non-negative")
         self._category_rates = rates
-        self._rates_version += 1
 
     def set_category_weights(self, index: int, weights: Sequence[float]) -> None:
         weights = np.asarray(weights, dtype=float)
@@ -446,12 +389,10 @@ class BaseImplementation(abc.ABC):
         tracer = self._tracer
         if not tracer.enabled:
             self._update_matrices_body(
-                eigen_index, eigen, matrix_indices, branch_lengths,
+                eigen, matrix_indices, branch_lengths,
                 first_derivative_indices, second_derivative_indices,
             )
             return
-        cache = self._matrix_cache
-        hits0, misses0 = cache.hits, cache.misses
         with tracer.span(
             "update_transition_matrices",
             kind="call",
@@ -460,26 +401,21 @@ class BaseImplementation(abc.ABC):
             n_matrices=len(matrix_indices),
         ):
             self._update_matrices_body(
-                eigen_index, eigen, matrix_indices, branch_lengths,
+                eigen, matrix_indices, branch_lengths,
                 first_derivative_indices, second_derivative_indices,
             )
-        metrics = self._metrics
-        metrics.counter("matrix.updates").inc(len(matrix_indices))
-        metrics.counter("matrix.cache.hits").inc(cache.hits - hits0)
-        metrics.counter("matrix.cache.misses").inc(cache.misses - misses0)
+        self._metrics.counter("matrix.updates").inc(len(matrix_indices))
 
     def _update_matrices_body(
         self,
-        eigen_index: int,
         eigen: Tuple[np.ndarray, np.ndarray, np.ndarray],
         matrix_indices: List[int],
         branch_lengths: np.ndarray,
         first_derivative_indices: Optional[Sequence[int]],
         second_derivative_indices: Optional[Sequence[int]],
     ) -> None:
-        self._compute_matrices_cached(
-            eigen_index, eigen, matrix_indices, branch_lengths
-        )
+        self._compute_matrices(eigen, matrix_indices, branch_lengths)
+        self.matrices_computed += len(matrix_indices)
         if first_derivative_indices or second_derivative_indices:
             self._compute_derivative_matrices(
                 eigen,
@@ -522,62 +458,6 @@ class BaseImplementation(abc.ABC):
                 for idx in deriv:
                     self._check_matrix(idx)
         return eigen
-
-    def _compute_matrices_cached(
-        self,
-        eigen_index: int,
-        eigen: Tuple[np.ndarray, np.ndarray, np.ndarray],
-        matrix_indices: List[int],
-        branch_lengths: np.ndarray,
-    ) -> None:
-        """Serve matrices from the memo cache, computing only the misses.
-
-        Duplicate target indices within one call bypass the cache: the
-        eager semantics are last-write-wins per buffer, and interleaving
-        hits with misses would reorder the installs.
-        """
-        cache = self._matrix_cache
-        if cache.capacity <= 0 or len(set(matrix_indices)) != len(
-            matrix_indices
-        ):
-            self._compute_matrices(eigen, matrix_indices, branch_lengths)
-            return
-        eigen_version = self._eigen_versions[eigen_index]
-
-        def cache_key(t: float) -> tuple:
-            return (eigen_index, eigen_version, self._rates_version, t)
-
-        missing: List[int] = []
-        for pos, idx in enumerate(matrix_indices):
-            cached = cache.get(cache_key(float(branch_lengths[pos])))
-            if cached is not None:
-                self._install_matrix(idx, cached)
-            else:
-                missing.append(pos)
-        if missing:
-            self._compute_matrices(
-                eigen,
-                [matrix_indices[p] for p in missing],
-                np.asarray([float(branch_lengths[p]) for p in missing]),
-            )
-            for pos in missing:
-                idx = matrix_indices[pos]
-                cache.put(
-                    cache_key(float(branch_lengths[pos])),
-                    np.array(self._matrices[idx]),
-                )
-
-    def _install_matrix(self, index: int, matrices: np.ndarray) -> None:
-        """Install precomputed matrices into a buffer (cache-hit path).
-
-        Accelerated backends override to mirror the host copy onto the
-        device without re-running the matrix kernel.
-        """
-        self._matrices[index] = matrices
-
-    def matrix_cache_stats(self) -> Dict[str, float]:
-        """Hit/miss counters for the transition-matrix memo cache."""
-        return self._matrix_cache.stats()
 
     def _compute_derivative_matrices(
         self,

@@ -2,7 +2,7 @@
 
 The registry is the quantitative side of the observability layer: where
 the tracer answers *what happened and when*, the registry accumulates
-*how much* — kernel launches, fused-level widths, matrix-cache hits,
+*how much* — kernel launches, fused-level widths, matrix updates,
 thread-pool queue depth, effective GFLOPS.  Instruments are get-or-create
 by name so call sites never coordinate registration, and every instrument
 is thread-safe (threaded backends feed them from worker waves).

@@ -32,6 +32,7 @@ from repro.accel.perfmodel import (
     accelerator_kernel_time,
     partials_kernel_cost,
 )
+from repro.core.highlevel import instance_config
 
 
 @dataclass(frozen=True)
@@ -117,16 +118,26 @@ def estimate_instance_memory(
 ) -> int:
     """Approximate device bytes one instance needs.
 
-    Counts the partials pool (plus the upper-partials extension when
-    requested), plain and gap-extended matrices, and per-pattern scratch.
-    Used to filter memory-starved devices during backend selection — the
-    concern behind the paper conclusion's "greater memory efficiency".
+    Counts every partials buffer of the
+    :class:`~repro.core.highlevel.TreeLikelihood` layout
+    (:func:`~repro.core.highlevel.instance_config`: upper partials and
+    store-point slots included), plain and gap-extended matrices, and
+    per-pattern scratch.  Used to filter memory-starved devices during
+    backend selection — the concern behind the paper conclusion's
+    "greater memory efficiency".
     """
+    config = instance_config(
+        tips, patterns, states, categories,
+        enable_upper_partials=enable_upper_partials,
+    )
     itemsize = 4 if precision == "single" else 8
-    n_nodes = 2 * tips - 1
-    buffers = n_nodes + ((2 * n_nodes + 1) if enable_upper_partials else 0)
-    partials = buffers * categories * patterns * states * itemsize
-    matrices = (n_nodes + 3) * categories * states * (2 * states + 1) * itemsize
+    partials = (
+        config.total_buffer_count * categories * patterns * states * itemsize
+    )
+    matrices = (
+        config.matrix_buffer_count * categories * states * (2 * states + 1)
+        * itemsize
+    )
     scratch = 4 * patterns * 8
     return int(partials + matrices + scratch)
 

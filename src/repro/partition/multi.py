@@ -77,13 +77,6 @@ class PartitionedLikelihood:
         for component in self.components:
             component.instance.flush()
 
-    def matrix_cache_stats(self) -> Dict[str, Dict[str, float]]:
-        """Per-partition transition-matrix cache statistics."""
-        return {
-            part.name: component.instance.matrix_cache_stats()
-            for part, component in zip(self.partitions, self.components)
-        }
-
     def log_likelihood(self) -> float:
         return float(sum(c.log_likelihood() for c in self.components))
 
@@ -247,7 +240,7 @@ class MultiDeviceLikelihood:
         """Atomically move to a new (active device set, pattern split).
 
         Components whose label survives with unchanged chunk boundaries
-        are kept — their device buffers and matrix caches stay warm —
+        are kept — their device buffers stay warm —
         and only the instances whose pattern range moved are (re)built.
         The transition is build-then-commit: every new instance is
         constructed before any old state is touched, so a failed build
@@ -406,13 +399,6 @@ class MultiDeviceLikelihood:
         """Execute any recorded deferred work on every device instance."""
         for component in self.components:
             component.instance.flush()
-
-    def matrix_cache_stats(self) -> Dict[str, Dict[str, float]]:
-        """Per-device transition-matrix cache statistics."""
-        return {
-            label: component.instance.matrix_cache_stats()
-            for label, component in zip(self.labels, self.components)
-        }
 
     def backends(self) -> Dict[str, str]:
         """Which implementation each device request landed on."""

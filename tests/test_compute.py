@@ -129,7 +129,8 @@ class TestMatricesFromEigen:
     )
     def test_batch_invariant(self, model, rates):
         """A branch gets the same bits alone as inside a batch of 50, so
-        the matrix cache serves the same values whatever filled it."""
+        an incremental update of a few branches reproduces a full
+        traversal's matrices exactly."""
         e = model.eigen
         args = (e.eigenvectors, e.inverse_eigenvectors, e.eigenvalues)
         lengths = np.random.default_rng(9).random(50) * 0.5

@@ -400,13 +400,11 @@ class TestRegressions:
             assert sum(counts) == data.n_patterns
 
     def test_multi_device_parity_methods(self, workload):
-        """flush / matrix_cache_stats / backends / update_branch_lengths
-        used to exist only on PartitionedLikelihood."""
+        """flush / backends / update_branch_lengths used to exist only
+        on PartitionedLikelihood."""
         with _multi(workload, deferred=True) as mdl:
             mdl.log_likelihood()
             mdl.flush()
-            stats = mdl.matrix_cache_stats()
-            assert set(stats) == {"dev0", "dev1"}
             backends = mdl.backends()
             assert set(backends) == {"dev0", "dev1"}
             assert all(isinstance(name, str) for name in backends.values())

@@ -371,33 +371,6 @@ class TestDeferredPlanTracing:
             assert len(level_spans) == plan_spans[0].attrs["n_levels"]
 
 
-class TestMatrixCacheMetrics:
-    def test_cache_hit_counter_matches_lru_under_propose_reject(self):
-        """MCMC-style propose/reject on one branch: the rejected value is
-        restored, so the second evaluation of the original length hits
-        the transition-matrix LRU; the counters must agree with the
-        cache's own hit/miss statistics."""
-        tree = yule_tree(8, rng=2)
-        model = HKY85(kappa=2.0)
-        data = synthetic_pattern_set(8, 32, 4, rng=3)
-        with Session(data, tree, model, backend="cpu-serial",
-                     trace=True) as s:
-            s.log_likelihood()  # cold: all misses
-            node = tree.root.children[0]
-            original = node.branch_length
-            node.branch_length = original * 1.7  # propose
-            s.log_likelihood()
-            node.branch_length = original        # reject/restore
-            s.log_likelihood()
-
-            cache_stats = s.instance.impl.matrix_cache_stats()
-            hits = s.metrics.counter("matrix.cache.hits").value
-            misses = s.metrics.counter("matrix.cache.misses").value
-            assert hits == cache_stats["hits"]
-            assert misses == cache_stats["misses"]
-            assert hits > 0  # restored lengths were served from cache
-
-
 class TestInstrumentationPlumbing:
     def test_instrument_returns_same_objects(self):
         tree = balanced_tree(4, rng=1)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.highlevel import TreeLikelihood
 from repro.mcmc import (
     BeagleBackend,
     ExponentialPrior,
@@ -24,7 +25,11 @@ from repro.partition import (
     estimate_instance_memory,
     rank_backends,
 )
-from repro.seq import compress_patterns, simulate_alignment
+from repro.seq import (
+    compress_patterns,
+    simulate_alignment,
+    synthetic_pattern_set,
+)
 from repro.tree import yule_tree
 
 
@@ -94,13 +99,33 @@ class TestMemoryAwareSelection:
         bigger_patterns = estimate_instance_memory(8, 10_000)
         more_tips = estimate_instance_memory(64, 1000)
         double = estimate_instance_memory(8, 1000, precision="double")
-        upper = estimate_instance_memory(
-            8, 1000, enable_upper_partials=True
-        )
         assert bigger_patterns > 5 * small
         assert more_tips > 5 * small
         assert double > 1.8 * small
-        assert upper > 2.5 * small
+        # Single precision, 4 states, 4 categories: the estimate is
+        # exactly the bytes of a real instance's partials and (plain
+        # plus gap-extended) matrix buffers, plus per-pattern scratch.
+        tips, patterns, states, cats, itemsize = 8, 1000, 4, 4, 4
+        for upper in (False, True):
+            with TreeLikelihood(
+                yule_tree(tips, rng=1),
+                synthetic_pattern_set(tips, patterns, states, rng=2),
+                HKY85(2.0),
+                SiteModel.gamma(0.5, cats),
+                enable_upper_partials=upper,
+            ) as tl:
+                config = tl.instance.config
+            partials = (
+                config.total_buffer_count * cats * patterns * states
+                * itemsize
+            )
+            matrices = (
+                config.matrix_buffer_count * cats * states
+                * (2 * states + 1) * itemsize
+            )
+            assert estimate_instance_memory(
+                tips, patterns, states, cats, enable_upper_partials=upper
+            ) == partials + matrices + 4 * patterns * 8
 
     def test_r9_nano_filtered_on_huge_double_problems(self):
         # 127 buffers x 4 cats x 1M patterns x 4 states x 8 B ~ 16 GB:

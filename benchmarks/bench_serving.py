@@ -45,9 +45,11 @@ from repro.util.tables import format_table
 
 #: Default p99 latency gate (seconds) for the CI-sized workload.  The
 #: load phase submits every request up front, so tail latency is the
-#: full queue-drain time (~5 s locally for the default workload); the
-#: budget is a regression alarm with CI headroom, not a tight SLO.
-P99_BUDGET_S = 20.0
+#: full queue-drain time; the budget is a regression alarm, not a tight
+#: SLO.  It is twice the worst tenant p99 of five default runs (4.6-5.1
+#: s on a 2-vCPU x86-64 host, Python 3.11, NumPy 2.4), rounded up to
+#: half a second.
+P99_BUDGET_S = 10.5
 
 
 def _workload(tips: int, patterns: int, n_tenants: int):

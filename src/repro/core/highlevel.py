@@ -234,42 +234,35 @@ class TreeLikelihood:
         """Load tip buffers and pattern weights from ``data``.
 
         Pairs by name for real alignments and by row index for synthetic
-        benchmark data.  Called at construction, and again by
+        benchmark data.  With compact tips this gathers rows of the
+        data's ``tip_states``, which both data kinds encode once; nothing
+        is re-tokenised.  Called at construction, and again by
         :meth:`rebind` when a warm instance is reused for new data of the
         same shape.
         """
         n_patterns = self.instance.config.pattern_count
         state_count = self.instance.config.state_count
         tips = sorted(self.tree.root.tips(), key=lambda n: n.index)
-        if isinstance(data, PatternSet):
-            aln = data.alignment
-            for tip in tips:
-                name = tip.name or f"taxon{tip.index}"
-                row = aln.names.index(name)
-                if self.use_tip_states:
-                    self.instance.set_tip_states(
-                        tip.index,
-                        aln.state_space.encode_states(aln.rows[row]),
-                    )
-                else:
-                    self.instance.set_tip_partials(
-                        tip.index,
-                        aln.state_space.encode_partials(aln.rows[row]),
-                    )
-        else:
-            for tip in tips:
-                if self.use_tip_states:
-                    self.instance.set_tip_states(
-                        tip.index, data.tip_states[tip.index]
-                    )
-                else:
-                    dense = np.zeros((n_patterns, state_count))
-                    rows = np.arange(n_patterns)
-                    codes = data.tip_states[tip.index]
-                    known = codes < state_count
-                    dense[rows[known], codes[known]] = 1.0
-                    dense[~known] = 1.0
-                    self.instance.set_tip_partials(tip.index, dense)
+        real = isinstance(data, PatternSet)
+        for tip in tips:
+            row = (
+                data.alignment.names.index(tip.name or f"taxon{tip.index}")
+                if real else tip.index
+            )
+            if self.use_tip_states:
+                self.instance.set_tip_states(tip.index, data.tip_states[row])
+            elif real:
+                aln = data.alignment
+                self.instance.set_tip_partials(
+                    tip.index, aln.state_space.encode_partials(aln.rows[row])
+                )
+            else:
+                dense = np.zeros((n_patterns, state_count))
+                codes = data.tip_states[row]
+                known = codes < state_count
+                dense[np.arange(n_patterns)[known], codes[known]] = 1.0
+                dense[~known] = 1.0
+                self.instance.set_tip_partials(tip.index, dense)
         self.instance.set_pattern_weights(data.weights)
         self.data = data
 
@@ -287,6 +280,11 @@ class TreeLikelihood:
         lets a serving pool reuse one built instance across tenants
         whose analyses share a configuration signature instead of paying
         a fresh allocation per request.
+
+        Compact tips are not re-encoded: :meth:`load_tip_data` hands the
+        instance one row of the data's pre-encoded ``tip_states`` per tip
+        (a :class:`PatternSet` encodes its tips once, at construction), so
+        a rebind costs a name lookup and a range check per tip.
         """
         if tree is not None:
             if tree.n_tips != self.tree.n_tips:

@@ -10,7 +10,7 @@ or as 0/1 indicator partials (``setTipPartials``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -69,6 +69,12 @@ class StateSpace:
     name: str
     symbols: Tuple[str, ...]
     ambiguity: Dict[str, Tuple[int, ...]] = field(repr=False)
+    #: Memoised ``setTipStates`` code of every token seen so far (see
+    #: :meth:`code_table`).  Entries are only ever added, and always with
+    #: the same value, so concurrent encoders may share it.
+    _codes: Dict[str, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def n_states(self) -> int:
@@ -90,6 +96,23 @@ class StateSpace:
                 f"unknown {self.name} token {token!r}"
             ) from None
 
+    def code_table(self, rows: Iterable[Iterable[str]]) -> Dict[str, int]:
+        """Token -> ``setTipStates`` code, covering every token in ``rows``.
+
+        An unambiguous token codes as its state; any ambiguous or missing
+        token, partially ambiguous ones such as ``R`` included, codes as
+        the gap ``n_states``.  The table is memoised on the state space:
+        each distinct token goes through :meth:`states_for` once, so
+        encoding an alignment costs one set union plus one dictionary
+        lookup per token.  Raises :class:`ValueError` for an unknown
+        token (the alphabetically first, when there are several).
+        """
+        codes = self._codes
+        for tok in sorted(set().union(*rows).difference(codes)):
+            states = self.states_for(tok)
+            codes[tok] = states[0] if len(states) == 1 else self.n_states
+        return codes
+
     def encode_states(self, sequence: Sequence[str]) -> np.ndarray:
         """Encode tokens as integer state codes for ``setTipStates``.
 
@@ -97,11 +120,10 @@ class StateSpace:
         kernels treat as "any state" (partial vector of ones), matching
         BEAGLE's convention of using the state count as the gap code.
         """
-        out = np.empty(len(sequence), dtype=np.int32)
-        for i, tok in enumerate(sequence):
-            states = self.states_for(tok)
-            out[i] = states[0] if len(states) == 1 else self.n_states
-        return out
+        codes = self.code_table([sequence])
+        return np.fromiter(
+            map(codes.__getitem__, sequence), np.int32, len(sequence)
+        )
 
     def encode_partials(self, sequence: Sequence[str]) -> np.ndarray:
         """Encode tokens as 0/1 indicator partials for ``setTipPartials``.

@@ -161,10 +161,13 @@ def split_pattern_set(
                 )
             )
             continue
-        indices = list(range(lo, hi))
+        aln = data.alignment
         chunks.append(
             PatternSet(
-                alignment=data.alignment.sites(indices),
+                alignment=Alignment(
+                    aln.names, [row[lo:hi] for row in aln.rows],
+                    aln.state_space,
+                ),
                 weights=data.weights[lo:hi],
                 site_to_pattern=np.arange(hi - lo),
             )

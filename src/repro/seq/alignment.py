@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,13 +38,18 @@ class Alignment:
         self.names: List[str] = list(names)
         self.rows: List[List[str]] = [list(r) for r in token_rows]
         self.state_space = state_space
-        # Validate every token up front so errors carry context.
-        for name, row in zip(self.names, self.rows):
-            for pos, tok in enumerate(row):
-                try:
-                    state_space.states_for(tok)
-                except ValueError as exc:
-                    raise ValueError(f"{name} site {pos}: {exc}") from None
+        # Validate the distinct tokens up front; only when one is unknown
+        # walk the rows, so the error names its sequence and site.
+        try:
+            state_space.code_table(self.rows)
+        except ValueError:
+            for name, row in zip(self.names, self.rows):
+                for pos, tok in enumerate(row):
+                    try:
+                        state_space.states_for(tok)
+                    except ValueError as exc:
+                        raise ValueError(f"{name} site {pos}: {exc}") from None
+            raise
 
     @classmethod
     def from_strings(
@@ -87,15 +93,20 @@ class Alignment:
             yield self.column(site)
 
     def encode_states(self) -> np.ndarray:
-        """Integer state codes, shape ``(n_sequences, n_sites)``.
+        """Integer state codes, shape ``(n_sequences, n_sites)``, int32.
 
-        Fully ambiguous tokens become the gap code ``n_states``; partially
-        ambiguous tokens collapse to their first compatible state (use
-        :meth:`encode_partials` when partial ambiguity must be preserved).
+        Every ambiguous token, fully or partially (e.g. a purine ``R``),
+        becomes the gap code ``n_states`` (use :meth:`encode_partials`
+        when partial ambiguity must be preserved).  One pass through the
+        state space's token table (:meth:`StateSpace.code_table`).
         """
-        return np.stack(
-            [self.state_space.encode_states(row) for row in self.rows]
-        )
+        codes = self.state_space.code_table(self.rows)
+        shape = (self.n_sequences, self.n_sites)
+        return np.fromiter(
+            map(codes.__getitem__, chain.from_iterable(self.rows)),
+            np.int32,
+            shape[0] * shape[1],
+        ).reshape(shape)
 
     def encode_partials(self) -> np.ndarray:
         """Indicator partials, shape ``(n_sequences, n_sites, n_states)``."""

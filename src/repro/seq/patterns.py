@@ -9,7 +9,7 @@ dataset has 742,668 sites but only 306,780 unique patterns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -31,11 +31,23 @@ class PatternSet:
         weights sum to the original site count.
     site_to_pattern:
         For each original site, the index of its pattern.
+    tip_states:
+        Read-only int32 ``setTipStates`` codes of the patterns, shape
+        ``(n_sequences, n_patterns)``; row *i* is ``alignment.names[i]``.
+        Encoded once, at construction (see
+        :meth:`Alignment.encode_states`), so every instance loaded from
+        this set gathers its tips from here instead of re-tokenising.
     """
 
     alignment: Alignment
     weights: np.ndarray
     site_to_pattern: np.ndarray
+    tip_states: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        tip_states = self.alignment.encode_states()
+        tip_states.flags.writeable = False
+        object.__setattr__(self, "tip_states", tip_states)
 
     @property
     def n_patterns(self) -> int:

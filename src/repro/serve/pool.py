@@ -1,8 +1,11 @@
 """Warm instance pools keyed on analysis shape.
 
 Building a :class:`~repro.core.highlevel.TreeLikelihood` is the
-expensive part of serving a request — buffer allocation, eigensystem
-setup, tip encoding.  The pool amortises it: instances are keyed on the
+expensive part of serving a request — buffer allocation and eigensystem
+setup.  (Tips are not encoded here: a
+:class:`~repro.seq.patterns.PatternSet` encodes its tips once, when it
+is built, and every instance loads them as read-only rows of that
+matrix.)  The pool amortises the build: instances are keyed on the
 *shape* of the analysis (:class:`PoolKey` — model signature, state
 count, pattern count, tip count, precision, backend), and a request
 whose shape matches an idle instance reuses its buffers instead of
@@ -14,10 +17,10 @@ Three acquisition outcomes, cheapest first:
   analysis (same data and tree objects); nothing is reloaded.
 * ``rebind`` — an idle instance of the right shape belonged to another
   tenant (or another analysis of the same tenant); only tip buffers and
-  pattern weights are rewritten via
-  :meth:`~repro.core.highlevel.TreeLikelihood.rebind` — the model
-  parameters are identical by key construction, so eigensystem and
-  category buffers stay warm.
+  pattern weights are reloaded via
+  :meth:`~repro.core.highlevel.TreeLikelihood.rebind`, from rows the
+  data encoded once — the model parameters are identical by key
+  construction, so eigensystem and category buffers stay warm.
 * ``miss`` — nothing idle and the per-key cap not reached: build a new
   instance (outside the pool lock; builds are slow).
 

@@ -222,6 +222,92 @@ ms) and the recorded `speedup` rose 1.83 → 2.01 (8 branches: 1.75 →
 not re-baselined.  `bench_cluster.py --assert` wrote a byte-identical
 report; `bench_serving.py --assert` passed.
 
+## Tips encoded once
+
+`python3 perfbench/run.py --workload <w> --seconds 12`, untraced, on a
+2-vCPU host (Python 3.11.7, NumPy 2.4.6): ten parent/change pairs per
+workload (seeds 1–10), alternating which side ran first.  Parent:
+every `TreeLikelihood` built or rebound from a `PatternSet` encoded
+each tip token by token, and `Alignment` validated every token.
+Change: a `PatternSet` encodes its tips once, through a memoised token
+table, and instances gather rows of that matrix (DESIGN choice 21).
+Median [quartiles]; "wins" counts pairs where the change reads
+better.  The claim is serve `mean_ms.a`.
+
+Serve (40 tips × 1,200 patterns, four tenants on one `PatternSet`,
+open loop at 10.9 ops/s):
+
+| metric | parent | change | wins |
+|---|---:|---:|---:|
+| `mean_ms.a` (full) | 19.48 [19.21, 19.88] | 6.04 [5.99, 6.21] | 10/10 |
+| `mean_ms.b` (edit) | 19.80 [19.58, 20.09] | 6.18 [6.10, 6.28] | 10/10 |
+| `mean_ms.c` (burst) | 41.20 [40.35, 41.81] | 13.73 [13.59, 14.00] | 10/10 |
+| `tail_ratio.a` / `.b` / `.c` | 1.23 / 1.20 / 1.19 | 1.15 / 1.15 / 1.12 | 10, 9, 6 |
+| `setup_s` | 0.0985 [0.0977, 0.1012] | 0.0386 [0.0374, 0.0401] | 10/10 |
+| `peak_rss_mb` | 108.9 [108.6, 109.0] | 108.6 [108.4, 108.8] | 9/10 |
+| `rate_per_s` | 10.87 | 10.88 | 10/10 |
+
+The claimed gain holds: `mean_ms.a` fell by 13.4 ms, 20 times the
+parent's interquartile range (0.67 ms), in 10 of 10 pairs, on seeds
+4–10 as well as on the seeds 1–3 used while writing the change.
+
+Split (32 tips × 1,500 patterns over cpu-sse + cuda-sim, closed loop,
+with rebalancing):
+
+| metric | parent | change | wins |
+|---|---:|---:|---:|
+| `rate_per_s` | 15.93 [15.71, 16.12] | 28.49 [27.73, 29.44] | 10/10 |
+| `mean_ms.a` (full) | 32.13 [30.83, 35.68] | 20.32 [19.04, 21.00] | 10/10 |
+| `mean_ms.b` (incr) | 35.51 [34.42, 36.35] | 17.63 [16.96, 18.23] | 10/10 |
+| `mean_ms.c` (recover) | 120.9 [119.7, 121.6] | 67.9 [65.3, 68.6] | 10/10 |
+| `tail_ratio.a` / `.b` / `.c` | 1.47 / 1.37 / 1.12 | 1.45 / 1.42 / 1.08 | 7, 5, 8 |
+| `setup_s` | 0.0958 | 0.0592 | 10/10 |
+| `peak_rss_mb` | 153.4 [152.4, 153.7] | 156.9 [156.7, 157.0] | 1/10 |
+
+eval and mcmc do not rebind or resplit; they pay the encode once, at
+set-up:
+
+| workload | metric | parent | change | wins |
+|---|---|---:|---:|---:|
+| eval | `setup_s` | 0.323 | 0.241 | 10/10 |
+| eval | `rate_per_s` | 23.87 [23.57, 23.97] | 23.60 [23.34, 23.87] | 2/10 |
+| eval | `mean_ms.a` / `.b` / `.c` | 16.28 / 34.61 / 74.5 | 16.29 / 34.85 / 75.4 | 4, 3, 3 |
+| eval | worst `tail_ratio` | `.b` 1.05 | `.a` 1.05 | 3/10 |
+| eval | `peak_rss_mb` | 218.6 | 219.1 | 0/10 |
+| mcmc | `setup_s` | 0.180 | 0.096 | 10/10 |
+| mcmc | `rate_per_s` | 194.8 [191.6, 199.3] | 193.6 [191.3, 197.1] | 3/10 |
+| mcmc | `mean_ms.a` / `.b` / `.c` | 1.76 / 10.81 / 11.83 | 1.78 / 10.90 / 11.91 | 3, 3, 4 |
+| mcmc | worst `tail_ratio` | `.a` 1.33 | `.a` 1.32 | 7/10 |
+| mcmc | `peak_rss_mb` | 144.4 | 145.0 | 0/10 |
+
+`ok_frac` was 1.0 on every run, and `results_sha256` was identical
+within each of the 40 pairs.  No end-to-end metric moved past its
+bound.  The closest are split `tail_ratio.b`, +3.6% against 0.25, and
+split `peak_rss_mb`, +2.3% against 0.10.  eval and mcmc stay within
+1.2% on every time metric.
+
+Per layer (one traced run per side, seed 1, 8 s): serve
+`tips.rebind_ms` 9.42 → 0.89 ms and `serve.server_ms` 11.9 → 4.0 ms;
+split `split.resplit_ms` 17.8 → 7.6 ms per resplit (71 → 62
+rebalances in the window).  The rebind saving (8.5 ms) accounts for
+the fall in `serve.server_ms` (7.9 ms).  Outside perfbench, one rebind
+of a 40-tip × 2,758-pattern set on cpu-sse took 21.7 → 1.35 ms
+(median of 15) and `split_pattern_set` into two chunks 13.2 → 8.2 ms.
+
+Closed-loop serve capacity (`perfbench/run.py --workload serve --seed
+1 --seconds 1 --capacity`): parent 63 ops/s (burst p90 30.5 ms);
+change 210–242 ops/s over three runs (burst p90 7.9–10.1 ms).  The
+workload's `CAPACITY_OPS_PER_S` (36) and `CLOSED_P90_S` (0.056 s)
+already underestimated the parent and are now further off; they size
+the offered rate and are left for the next change to the benchmark.
+
+Legacy serving budgets (synthetic patterns, so this change does not
+move them), five runs each: `benchmarks/bench_serving.py --assert`
+worst tenant p99 4.64, 5.12, 5.09, 4.97, 4.69 s; the CI drill
+(`serve_main --chaos`) 2.62, 2.45, 2.51, 2.50, 2.68 s.  The budgets
+are now twice the worst run, rounded up to half a second: 20 → 10.5 s
+and 30 → 5.5 s.
+
 ## Regenerated tables
 
 Regenerate at any time with `pybeagle-experiments` or

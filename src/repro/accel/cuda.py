@@ -19,6 +19,7 @@ program; errors raise :class:`CudaError` with CUDA-style status names.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -107,6 +108,11 @@ class CudaContext:
         self._next_va = _ALLOC_ALIGN
         self._bytes_in_use = 0
         self._destroyed = False
+        # (dptr, shape, dtype) -> typed view.  A view pins its
+        # allocation's storage, so every free drops them all.
+        self._views: Dict[
+            Tuple[int, Tuple[int, ...], np.dtype], np.ndarray
+        ] = {}
 
     # -- memory -----------------------------------------------------------
 
@@ -132,6 +138,7 @@ class CudaContext:
         alloc = self._allocations.pop(dptr, None)
         if alloc is None:
             raise CudaError("CUDA_ERROR_INVALID_VALUE", f"bad base ptr {dptr}")
+        self._views.clear()
         self._bytes_in_use -= alloc.storage.nbytes
 
     def _resolve(self, dptr: int, nbytes: int) -> Tuple[np.ndarray, int]:
@@ -161,13 +168,23 @@ class CudaContext:
     def device_view(
         self, dptr: int, shape: Tuple[int, ...], dtype: np.dtype
     ) -> np.ndarray:
-        """Typed view of device memory (used for kernel arg resolution)."""
-        nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
-        storage, offset = self._resolve(dptr, nbytes)
-        return np.frombuffer(
-            storage.data, dtype=dtype, count=int(np.prod(shape)),
-            offset=offset,
-        ).reshape(shape)
+        """Typed view of device memory (used for kernel arg resolution).
+
+        Every launch resolves each buffer argument here, so views are
+        kept until the next free.
+        """
+        key = (dptr, shape, dtype)
+        view = self._views.get(key)
+        if view is None:
+            count = math.prod(shape)
+            storage, offset = self._resolve(
+                dptr, count * np.dtype(dtype).itemsize
+            )
+            view = np.frombuffer(
+                storage.data, dtype=dtype, count=count, offset=offset,
+            ).reshape(shape)
+            self._views[key] = view
+        return view
 
     # -- modules and launch --------------------------------------------------
 
@@ -207,6 +224,7 @@ class CudaContext:
 
     def cuCtxDestroy(self) -> None:
         self._allocations.clear()
+        self._views.clear()
         self._bytes_in_use = 0
         self._destroyed = True
 
@@ -255,7 +273,7 @@ class CudaBuffer(BufferHandle):
 
     @property
     def nbytes(self) -> int:  # type: ignore[override]
-        return int(np.prod(self.shape)) * np.dtype(self.dtype).itemsize
+        return math.prod(self.shape) * np.dtype(self.dtype).itemsize
 
 
 class CudaInterface(HardwareInterface):
@@ -290,13 +308,13 @@ class CudaInterface(HardwareInterface):
 
     def allocate(self, shape, dtype) -> CudaBuffer:
         dtype = np.dtype(dtype)
-        nbytes = int(np.prod(shape)) * dtype.itemsize
+        nbytes = math.prod(shape) * dtype.itemsize
         return CudaBuffer(self.ctx.cuMemAlloc(nbytes), tuple(shape), dtype)
 
     def allocate_pool(self, n_slots, slot_shape, dtype) -> CudaBuffer:
         dtype = np.dtype(dtype)
         shape = (n_slots,) + tuple(slot_shape)
-        nbytes = int(np.prod(shape)) * dtype.itemsize
+        nbytes = math.prod(shape) * dtype.itemsize
         return CudaBuffer(self.ctx.cuMemAlloc(nbytes), shape, dtype)
 
     def slot(self, pool: CudaBuffer, index: int) -> CudaBuffer:
@@ -306,7 +324,7 @@ class CudaInterface(HardwareInterface):
                 f"slot {index} outside pool of {pool.shape[0]}",
             )
         slot_shape = pool.shape[1:]
-        stride = int(np.prod(slot_shape)) * pool.dtype.itemsize
+        stride = math.prod(slot_shape) * pool.dtype.itemsize
         # Pointer arithmetic: base + index * slot stride.
         return CudaBuffer(pool.dptr + index * stride, slot_shape, pool.dtype)
 

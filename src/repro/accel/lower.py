@@ -18,6 +18,14 @@ variant issues — which is what makes cross-backend log-likelihoods
 bit-identical on double-precision fixtures (see
 ``tests/test_ir_lowering.py``).
 
+**Host array forms.**  The emitted arithmetic follows
+:mod:`repro.core.compute`, the host's single source of truth, on the
+device's ``(c, p, s)`` layout: ``MatrixExpADB`` is one
+``np.matmul(V * expd[..., np.newaxis, :], V_inv)`` per matrix, as in
+``matrices_from_eigen``, so device and host transition matrices are
+bit-equal; ``SiteReduce`` and each of ``GradientReduce``'s three sums
+are ``w @ (X @ pi)``, as in ``_site_sums``.  No emitter uses ``einsum``.
+
 This module also holds every per-device build decision (sections
 VII-B.1/2): :func:`variant_for` picks the kernel variant a device runs,
 and :func:`fit_config_for_device` is the single clamp-and-backstop
@@ -282,6 +290,20 @@ _INNER_BY_VARIANT = {
 }
 
 
+def _site_reduce_lines(
+    dest: str, integrand: str, weights: str, frequencies: str
+) -> List[str]:
+    """``dest[p] = sum_c w_c sum_i X[c, p, i] pi_i`` as two matmuls.
+
+    The same pair of products as ``compute._site_sums`` on the device's
+    ``(c, p, s)`` layout: states first, then categories, in float64.
+    """
+    return [
+        f"    {dest} = np.matmul({weights}, np.matmul(",
+        f"        ({integrand}).astype(np.float64), {frequencies}))",
+    ]
+
+
 class LoweringError(ValueError):
     """A lowering pass cannot realise the given IR."""
 
@@ -475,8 +497,9 @@ class Lowering:
             return [
                 f"    expd = np.exp(np.multiply.outer("
                 f"{stmt.lengths_rates}, {stmt.eigenvalues}))",
-                f'    p = np.einsum("ij,bcj,jk->bcik", '
-                f"{stmt.eigenvectors}, expd, {stmt.inv_eigenvectors})",
+                f"    p = np.matmul({stmt.eigenvectors} "
+                "* expd[..., np.newaxis, :], "
+                f"{stmt.inv_eigenvectors})",
                 "    p = np.clip(p.real if np.iscomplexobj(p) else p, "
                 "0.0, None)",
                 f"    {stmt.dest}[...] = p.astype(REAL)",
@@ -505,23 +528,17 @@ class Lowering:
                 f"        {stmt.cumulative} += buf",
             ]
         if isinstance(stmt, SiteReduce):
-            return [
-                f'    site = np.einsum("c,cpi,i->p", {stmt.weights},',
-                f"                     ({stmt.partials_expr})"
-                f".astype(np.float64),",
-                f"                     {stmt.frequencies})",
-            ]
+            return _site_reduce_lines(
+                "site", stmt.partials_expr, stmt.weights, stmt.frequencies
+            )
         if isinstance(stmt, GradientReduce):
             lines = []
             for site, lifted in (("f", stmt.lifted), ("f1", stmt.lifted1),
                                  ("f2", stmt.lifted2)):
-                lines.extend([
-                    f'    {site} = np.einsum("c,cpi,i->p", {stmt.weights},',
-                    f"    {' ' * len(site)}({stmt.parent} * {lifted})"
-                    ".astype(np.float64),",
-                    f"    {' ' * len(site)}{stmt.frequencies}, "
-                    "optimize=True)",
-                ])
+                lines.extend(_site_reduce_lines(
+                    site, f"{stmt.parent} * {lifted}", stmt.weights,
+                    stmt.frequencies,
+                ))
             lines.extend([
                 '    with np.errstate(divide="ignore", invalid="ignore"):',
                 "        log_site = np.log(f)",

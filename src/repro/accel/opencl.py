@@ -19,6 +19,7 @@ errors raise :class:`CLError` with CL-style status names.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -173,18 +174,18 @@ class CLMem(BufferHandle):
         self.parent = parent
         self.origin_elems = origin_elems
         if parent is None:
-            self._storage = np.zeros(int(np.prod(shape)), dtype=self.dtype)
+            self._storage = np.zeros(math.prod(shape), dtype=self.dtype)
         else:
             self._storage = None  # resolved through parent
 
     @property
     def nbytes(self) -> int:  # type: ignore[override]
-        return int(np.prod(self.shape)) * self.dtype.itemsize
+        return math.prod(self.shape) * self.dtype.itemsize
 
     def array(self) -> np.ndarray:
         if self.parent is not None:
             flat = self.parent.array().reshape(-1)
-            count = int(np.prod(self.shape))
+            count = math.prod(self.shape)
             return flat[self.origin_elems : self.origin_elems + count].reshape(
                 self.shape
             )
@@ -196,7 +197,7 @@ def clCreateBuffer(
 ) -> CLMem:
     context._check_alive()
     dtype = np.dtype(dtype)
-    nbytes = int(np.prod(shape)) * dtype.itemsize
+    nbytes = math.prod(shape) * dtype.itemsize
     if nbytes <= 0:
         raise CLError("CL_INVALID_BUFFER_SIZE", f"{nbytes} bytes")
     capacity = int(context.device.memory_gb * 2**30)
@@ -216,8 +217,8 @@ def clCreateSubBuffer(
     if mem.parent is not None:
         # Real OpenCL 1.2 also rejects sub-buffers of sub-buffers.
         raise CLError("CL_INVALID_MEM_OBJECT", "cannot sub-buffer a sub-buffer")
-    count = int(np.prod(shape))
-    total = int(np.prod(mem.shape))
+    count = math.prod(shape)
+    total = math.prod(mem.shape)
     if origin_elems < 0 or origin_elems + count > total:
         raise CLError(
             "CL_INVALID_VALUE",
@@ -388,7 +389,7 @@ class OpenCLInterface(HardwareInterface):
 
     def slot(self, pool: CLMem, index: int) -> CLMem:
         slot_shape = pool.shape[1:]
-        stride = int(np.prod(slot_shape))
+        stride = math.prod(slot_shape)
         return clCreateSubBuffer(pool, index * stride, slot_shape)
 
     def upload(self, handle: CLMem, host: np.ndarray) -> None:

@@ -260,15 +260,16 @@ class UpperPartials:
         there is no state to restore and nothing to go stale on error.
         """
         self._require_current()
+        # One preorder walk resolves every edge; ``Tree.node_by_index``
+        # rescans the tree per call.
+        nodes = {n.index: n for n in self.tree.root.preorder()}
         if node_indices is None:
-            node_indices = [
-                n.index for n in self.tree.root.preorder() if not n.is_root
-            ]
+            node_indices = [i for i, n in nodes.items() if not n.is_root]
         parents: List[int] = []
         children: List[int] = []
         lengths: List[float] = []
         for idx in node_indices:
-            node = self.tree.node_by_index(idx)
+            node = nodes[idx]
             if node.is_root:
                 raise ValueError("the root has no branch")
             parents.append(self.tmp_index(idx))

@@ -91,9 +91,7 @@ class NativeLikelihood:
             cat_lik[i] = cond @ freqs
             cat_scale[i] = scale
         ref = cat_scale.max(axis=0)
-        site_lik = np.einsum(
-            "c,cp->p", sm.weights, cat_lik * np.exp(cat_scale - ref)
-        )
+        site_lik = sm.weights @ (cat_lik * np.exp(cat_scale - ref))
         with np.errstate(divide="ignore"):
             log_site = np.log(site_lik) + ref
         return float(np.dot(self.weights, log_site))

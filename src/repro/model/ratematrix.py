@@ -89,22 +89,6 @@ class EigenSystem:
         )
         return np.clip(p, 0.0, None)
 
-    def transition_matrices(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`transition_matrix` over a batch of lengths.
-
-        Returns shape ``(len(ts), n, n)``.  This is the host-side analogue
-        of the ``kernelMatrixMulADB`` device kernel that
-        ``updateTransitionMatrices`` launches.
-        """
-        ts = np.asarray(ts, dtype=float)
-        if np.any(ts < 0):
-            raise ValueError("branch lengths must be non-negative")
-        expd = np.exp(np.multiply.outer(ts, self.eigenvalues))
-        p = np.einsum(
-            "ij,tj,jk->tik", self.eigenvectors, expd, self.inverse_eigenvectors
-        )
-        return np.clip(p, 0.0, None)
-
 
 def eigendecompose_reversible(q: np.ndarray, pi: np.ndarray) -> EigenSystem:
     """Decompose a reversible *Q* through its symmetric similarity transform."""

@@ -286,11 +286,16 @@ class TestKernelGeneration:
         assert "float32" in sp and "float64" in dp
 
     def test_variants_have_different_inner_products(self):
-        gpu = _lowered(
-            KernelConfig(4, variant="gpu"), OPENCL_MACROS)
-        x86 = _lowered(
-            KernelConfig(4, variant="x86"), OPENCL_MACROS)
-        assert "np.matmul" in gpu and "np.matmul" not in x86
+        def inner_product(variant):
+            source = _lowered(
+                KernelConfig(4, variant=variant), OPENCL_MACROS)
+            start = source.index("def _inner_product_child(")
+            return source[start:source.index("\n\n\ndef ", start)]
+
+        gpu, x86 = inner_product("gpu"), inner_product("x86")
+        assert "np.matmul" in gpu and "for j in range" not in gpu
+        assert "np.matmul" not in x86
+        assert "for j in range(STATE_COUNT):" in x86
         assert "loops over the state space" in x86
 
     def test_compiled_kernels_compute_correctly(self):

@@ -84,6 +84,17 @@ class TestDriverBasics:
         ctx.cuMemFree(ptr)
         assert ctx._bytes_in_use == 0
 
+    def test_device_view_aliases_device_memory_until_freed(self, ctx):
+        ptr = ctx.cuMemAlloc(4 * 8)
+        view = ctx.device_view(ptr, (2, 2), np.float64)
+        assert ctx.device_view(ptr, (2, 2), np.float64) is view
+        ctx.cuMemcpyHtoD(ptr, np.arange(4.0))
+        assert np.array_equal(view, [[0.0, 1.0], [2.0, 3.0]])
+        ctx.cuMemFree(ptr)
+        with pytest.raises(CudaError) as exc:
+            ctx.device_view(ptr, (2, 2), np.float64)
+        assert exc.value.status == "CUDA_ERROR_ILLEGAL_ADDRESS"
+
     def test_free_bad_pointer(self, ctx):
         with pytest.raises(CudaError):
             ctx.cuMemFree(12345)

@@ -46,7 +46,10 @@ from repro.accel.lower import (
 from repro.accel.lower_cpu import CPUVectorLowering
 from repro.accel.lower_cuda import CudaLowering
 from repro.accel.lower_opencl import OpenCLLowering
-from repro.model import HKY85, SiteModel
+from repro.config import backend_flags
+from repro.core.instance import BeagleInstance
+from repro.core.types import InstanceConfig
+from repro.model import GY94, HKY85, SiteModel
 from repro.seq import synthetic_pattern_set
 from repro.session import Session
 from repro.tree import yule_tree
@@ -276,3 +279,55 @@ class TestCrossBackendParity:
             impl = s.instance.impl
             assert impl.interface.kernel_config.variant == "cpu"
             assert "CPU-vector" in impl._backend_name()
+
+
+class TestHostArrayForms:
+    """Lowered kernels emit ``repro.core.compute``'s array forms."""
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("states", [4, 20, 61])
+    @pytest.mark.parametrize("lowering, variant, macros", [
+        (CudaLowering, "gpu", CUDA_MACROS),
+        (CudaLowering, "x86", CUDA_MACROS),
+        (OpenCLLowering, "gpu", OPENCL_MACROS),
+        (OpenCLLowering, "x86", OPENCL_MACROS),
+        (CPUVectorLowering, "cpu", CUDA_MACROS),
+        (CPUVectorLowering, "cpu", OPENCL_MACROS),
+    ], ids=["cuda-gpu", "cuda-x86", "opencl-gpu", "opencl-x86",
+            "cpu-cuda", "cpu-opencl"])
+    def test_no_lowered_program_uses_einsum(
+        self, lowering, variant, macros, states, precision
+    ):
+        config = KernelConfig(states, precision=precision, variant=variant)
+        src = lowering(config, macros).lower(build_program_ir(config))
+        assert "einsum" not in src
+
+    @pytest.mark.parametrize("model, sites", [
+        (HKY85(kappa=2.0, frequencies=[0.3, 0.2, 0.2, 0.3]),
+         SiteModel.gamma(0.5, 4)),
+        (GY94(kappa=2.0, omega=0.5), SiteModel.gamma(0.5, 2)),
+    ], ids=["hky-g4", "gy94"])
+    def test_transition_matrices_bit_equal_to_host(self, model, sites):
+        lengths = [0.0, 1e-6, 0.05, 0.3, 1.0, 7.5, 1e3]
+        config = InstanceConfig(
+            tip_count=2, partials_buffer_count=3, compact_buffer_count=0,
+            state_count=model.n_states, pattern_count=4,
+            eigen_buffer_count=1, matrix_buffer_count=len(lengths),
+            category_count=sites.n_categories,
+        )
+        matrices = {}
+        for backend in ("cpu-sse", "cuda"):
+            inst = BeagleInstance(config, **backend_flags(backend))
+            inst.set_category_rates(sites.rates)
+            inst.set_substitution_model(0, model)
+            inst.update_transition_matrices(
+                0, list(range(len(lengths))), lengths
+            )
+            matrices[backend] = [
+                inst.get_transition_matrix(i) for i in range(len(lengths))
+            ]
+            inst.finalize()
+        for i, length in enumerate(lengths):
+            assert np.array_equal(
+                matrices["cuda"][i], matrices["cpu-sse"][i]
+            ), f"branch length {length}: cuda-sim differs from cpu-sse"

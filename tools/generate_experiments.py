@@ -308,6 +308,82 @@ worst tenant p99 4.64, 5.12, 5.09, 4.97, 4.69 s; the CI drill
 are now twice the worst run, rounded up to half a second: 20 → 10.5 s
 and 30 → 5.5 s.
 
+## Lowered kernels on the host's array forms
+
+`python3 perfbench/run.py --workload <w> --seconds 12`, untraced, on a
+2-vCPU host (Python 3.11.7, NumPy 2.4.6): ten parent/change pairs per
+workload (seeds 1–10), alternating which side ran first.  Parent: the
+lowered `kernelMatrixMulADB`, `SiteReduce` and `GradientReduce` used
+`einsum` (three `einsum(..., optimize=True)` calls per gradient edge),
+and the CUDA driver sized every view with `int(np.prod(shape))`.
+Change: the emitters produce `core/compute.py`'s `np.matmul` forms,
+sizes use `math.prod`, and `CudaContext.device_view` keeps each view
+until the next free (DESIGN choice 22).  Median [quartiles]; "wins"
+counts pairs where the change reads better.  The claim is eval
+`mean_ms.c`.
+
+Eval (full on cpu-sse; codon and grad on cuda-sim):
+
+| metric | parent | change | wins |
+|---|---:|---:|---:|
+| `mean_ms.c` (grad) | 75.61 [74.97, 77.19] | 38.94 [37.62, 40.68] | 10/10 |
+| `mean_ms.b` (codon) | 35.97 [35.77, 36.09] | 19.72 [19.08, 20.28] | 10/10 |
+| `mean_ms.a` (full) | 16.29 [16.12, 16.40] | 16.06 [15.64, 16.16] | 7/10 |
+| `rate_per_s` | 23.13 [22.83, 23.43] | 39.83 [37.47, 41.33] | 10/10 |
+| `tail_ratio.a` / `.b` / `.c` | 1.079 / 1.056 / 1.093 | 1.085 / 1.089 / 1.091 | 4, 4, 4 |
+| `setup_s` | 0.251 [0.244, 0.253] | 0.192 [0.186, 0.197] | 10/10 |
+| `peak_rss_mb` | 219.3 | 219.8 | 0/10 |
+| `check.inexact_frac` | 0.035–0.169 | 0.065–0.146 | |
+
+The claimed gain holds: `mean_ms.c` fell by 36.7 ms, 16.5 times the
+parent's interquartile range (2.22 ms), in 10 of 10 pairs.  Per seed,
+`check.inexact_frac` was 0.127, 0.035, 0.049, 0.068, 0.169, 0.138,
+0.140, 0.103, 0.154, 0.059 at the parent and 0.146, 0.119, 0.130,
+0.088, 0.114, 0.073, 0.101, 0.069, 0.065, 0.110 with the change,
+against the 0.4 cap.  `results_sha256` differs in every eval pair:
+the cuda-sim values moved in their last bits, and every value still
+passed its check.
+
+Other workloads:
+
+| workload | metric | parent | change | wins |
+|---|---|---:|---:|---:|
+| split | `rate_per_s` | 28.25 [27.95, 29.31] | 34.54 [32.51, 36.01] | 10/10 |
+| split | `mean_ms.a` / `.b` / `.c` | 19.04 / 17.53 / 67.77 | 14.38 / 16.40 / 56.22 | 10, 8, 10 |
+| split | `tail_ratio.a` | 1.553 [1.440, 1.586] | 1.693 [1.570, 1.735] | 1/10 |
+| split | `tail_ratio.b` / `.c` | 1.333 / 1.113 | 1.317 / 1.091 | 6, 8 |
+| split | `setup_s` / `peak_rss_mb` | 0.0577 / 156.9 | 0.0542 / 157.1 | 8, 5 |
+| mcmc | `rate_per_s` | 198.6 [193.1, 201.8] | 196.7 [192.2, 203.7] | 6/10 |
+| mcmc | `mean_ms.a` / `.b` / `.c` | 1.770 / 10.68 / 11.60 | 1.757 / 10.82 / 11.72 | 7, 6, 5 |
+| mcmc | worst `tail_ratio` | `.c` 1.119 | `.c` 1.174 | 4/10 |
+| mcmc | `setup_s` / `peak_rss_mb` | 0.0969 / 145.1 | 0.0991 / 145.0 | 3, 5 |
+| serve | `mean_ms.a` / `.b` / `.c` | 6.59 / 6.94 / 14.98 | 6.65 / 6.66 / 14.65 | 6, 6, 5 |
+| serve | worst `tail_ratio` | `.c` 1.144 | `.c` 1.167 | 4/10 |
+| serve | `rate_per_s` / `setup_s` / `peak_rss_mb` | 10.88 / 0.0408 / 108.7 | 10.88 / 0.0406 / 108.7 | 6, 5, 8 |
+
+`ok_frac` was 1.0 on every run, and `results_sha256` was identical
+within each split, mcmc and serve pair.  No end-to-end metric moved
+past its bound.  The closest is split `tail_ratio.a`, +9.0% against
+0.25: its mean fell by a quarter under the same scripted jitter.  mcmc
+and serve run only on cpu-sse and stay within 5% (`mcmc`
+`tail_ratio.c` +4.9%, inside its run-to-run spread).
+
+Per layer (one traced run per side, seed 1, 12 s, raw host ms):
+`plan.flush_ms` 17.73 → 9.56, `upper.update_ms` 15.65 → 8.68,
+`grad.batch_ms` 17.16 → 8.55, `accel.ms_per_launch` 0.282 → 0.158,
+with `accel.launches` 100.5 and `accel.sim_ms` 3.3625 unchanged to the
+last digit.  Untraced, raw medians fell 42.7 → 22.3 ms per grad op and
+20.2 → 11.3 ms per codon op: `upper.update` and `grad.batch` account
+for 15.6 of the grad op's 20.4 ms, `plan.flush` for 8.2 of the codon
+op's 8.9 ms.  The simulated-clock reports of `bench_gradients.py`,
+`bench_multi_device.py` and `bench_resilience.py`, and the chaos and
+node-loss drill reports, are byte-identical between the two commits.
+
+The view cache was measured on its own first (six pairs, seeds 1–6,
+against the change without it): eval `mean_ms.c` 41.18 [40.33, 42.00]
+→ 38.18 [37.41, 38.89] ms, 6 of 6 pairs, −7.3%.  It is kept because
+that clears 5%.
+
 ## Regenerated tables
 
 Regenerate at any time with `pybeagle-experiments` or

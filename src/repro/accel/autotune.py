@@ -536,7 +536,7 @@ class AutoTuner:
             launches = []
             for patterns in self.pattern_counts:
                 geometry = built.launch_geometry(patterns)
-                shape = (cats, geometry.global_size[0], states)
+                shape = (cats, states, geometry.global_size[0])
                 buffers = [
                     iface.allocate(shape, dtype),
                     iface.allocate(shape, dtype),

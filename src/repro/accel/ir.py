@@ -283,7 +283,7 @@ class Barrier(Stmt):
 
 @dataclass(frozen=True)
 class InnerProduct(Stmt):
-    """``dest[c,p,i] = sum_j matrices[c,i,j] * partials[c,p,j]``.
+    """``dest[c,i,p] = sum_j matrices[c,i,j] * partials[c,j,p]``.
 
     The states-reduction at the heart of every partials kernel; its
     realisation is the per-variant performance decision (concurrent
@@ -379,7 +379,7 @@ class AccumulateLogFactors(Stmt):
 
 @dataclass(frozen=True)
 class SiteReduce(Stmt):
-    """Weighted site likelihoods: ``site[p] = sum_{c,i} w_c X[c,p,i] f_i``.
+    """Weighted site likelihoods: ``site[p] = sum_{c,i} w_c f_i X[c,i,p]``.
 
     ``partials_expr`` is the integrand — a buffer name or an elementwise
     product of earlier dests — accumulated in float64 regardless of the
@@ -665,7 +665,7 @@ def _partials_tiles(
 
 
 #: Shorthand extents for the catalog's buffer shapes.
-_CPS = ("category", "pattern", "state")        # partials blocks
+_CPS = ("category", "state", "pattern")        # partials blocks
 _CSS = ("category", "state", "state")          # transition matrices
 _CSX = ("category", "state", "state+1")        # gap-column-extended
 

@@ -18,13 +18,15 @@ variant issues — which is what makes cross-backend log-likelihoods
 bit-identical on double-precision fixtures (see
 ``tests/test_ir_lowering.py``).
 
-**Host array forms.**  The emitted arithmetic follows
-:mod:`repro.core.compute`, the host's single source of truth, on the
-device's ``(c, p, s)`` layout: ``MatrixExpADB`` is one
-``np.matmul(V * expd[..., np.newaxis, :], V_inv)`` per matrix, as in
-``matrices_from_eigen``, so device and host transition matrices are
-bit-equal; ``SiteReduce`` and each of ``GradientReduce``'s three sums
-are ``w @ (X @ pi)``, as in ``_site_sums``.  No emitter uses ``einsum``.
+**Host array forms.**  Device partials share the host's ``(c, s, p)``
+layout, and each emitter produces :mod:`repro.core.compute`'s form:
+``InnerProduct`` is ``update_partials_pp``'s ``np.matmul(M, L)`` (gpu
+and cpu variants), ``StateGather`` is ``_gather_states``'s ``np.take``,
+``DynamicRescale`` is ``rescale_partials``, ``MatrixExpADB`` is
+``matrices_from_eigen``'s GEMM, and ``SiteReduce`` and each of
+``GradientReduce``'s sums are ``_site_sums``'s ``w @ (pi @ X)``.  So
+the gpu and cpu variants give the host's bits; no emitter uses
+``einsum``.
 
 This module also holds every per-device build decision (sections
 VII-B.1/2): :func:`variant_for` picks the kernel variant a device runs,
@@ -251,10 +253,10 @@ def fit_config_for_device(
 
 #: GPU: all states concurrently -- a batched GEMM, one work-item per state.
 INNER_GPU = """\
-    # GPU variant: one work-item per (pattern, state); the whole state
+    # GPU variant: one work-item per (state, pattern); the whole state
     # dimension is evaluated concurrently, with matrices staged in
     # {KW_LOCAL_MEM} memory (fused multiply-add: {FMA}).
-    return np.matmul(partials, matrices.swapaxes(-1, -2))
+    return np.matmul(matrices, partials)
 """
 
 #: x86: loop over the state space inside each work-item (section VII-B.2),
@@ -265,22 +267,20 @@ INNER_X86 = """\
     # staging -- the compiler manages memory caching.
     acc = np.zeros(partials.shape, dtype=REAL)
     for j in range(STATE_COUNT):
-        acc += (matrices[:, np.newaxis, :, j]
-                * partials[:, :, j, np.newaxis])
+        acc += (matrices[:, :, j, np.newaxis]
+                * partials[:, np.newaxis, j, :])
     return acc
 """
 
 #: cpu-vector: one contiguous batched product over the whole pattern
-#: block, letting the host BLAS drive the SIMD lanes across the state
-#: dimension.  Numerically this is the same batched product as the gpu
-#: realisation (``transpose(0, 2, 1)`` is ``swapaxes(-1, -2)`` on rank-3
-#: operands), which keeps the cpu-vector backend bit-identical to the
-#: GPU backends while dispatching in x86-style pattern work-groups.
+#: block, letting the host BLAS drive the SIMD lanes across the pattern
+#: dimension: the gpu realisation's product, so cpu-vector stays
+#: bit-identical to the GPU backends and the host.
 INNER_CPU_VECTOR = """\
     # cpu-vector variant: the full pattern block is one contiguous
-    # batched product; the host vector units consume the state dimension
+    # batched product; the host vector units consume the patterns
     # (fused multiply-add: {FMA}), with no {KW_LOCAL_MEM} staging.
-    return np.matmul(partials, matrices.transpose(0, 2, 1))
+    return np.matmul(matrices, partials)
 """
 
 _INNER_BY_VARIANT = {
@@ -293,14 +293,14 @@ _INNER_BY_VARIANT = {
 def _site_reduce_lines(
     dest: str, integrand: str, weights: str, frequencies: str
 ) -> List[str]:
-    """``dest[p] = sum_c w_c sum_i X[c, p, i] pi_i`` as two matmuls.
+    """``dest[p] = sum_c w_c sum_i pi_i X[c, i, p]`` as two matmuls.
 
-    The same pair of products as ``compute._site_sums`` on the device's
-    ``(c, p, s)`` layout: states first, then categories, in float64.
+    ``compute._site_sums``'s pair of products: states first, then
+    categories, in float64.
     """
     return [
-        f"    {dest} = np.matmul({weights}, np.matmul(",
-        f"        ({integrand}).astype(np.float64), {frequencies}))",
+        f"    {dest} = np.matmul({weights}, np.matmul({frequencies},",
+        f"        ({integrand}).astype(np.float64, copy=False)))",
     ]
 
 
@@ -421,7 +421,7 @@ class Lowering:
             "",
             "",
             "def _inner_product_child(partials, matrices):",
-            '    """sum_j M[c, i, j] * L[c, p, j] for every (c, p, i)."""',
+            '    """sum_j M[c, i, j] * L[c, j, p] for every (c, i, p)."""',
         ])
         lines.append(self.inner_product_body().rstrip("\n"))
         for kernel in program.kernels:
@@ -488,8 +488,8 @@ class Lowering:
             ]
         if isinstance(stmt, StateGather):
             return [
-                f"    {stmt.dest} = {stmt.matrices_ext}"
-                f"[..., {stmt.states}].swapaxes(-1, -2)"
+                f"    {stmt.dest} = np.take({stmt.matrices_ext}, "
+                f"{stmt.states}, axis=2, mode=\"clip\")"
             ]
         if isinstance(stmt, Multiply):
             return [f"    np.multiply({stmt.a}, {stmt.b}, out={stmt.dest})"]
@@ -516,10 +516,10 @@ class Lowering:
             return lines
         if isinstance(stmt, DynamicRescale):
             return [
-                f"    maxima = {stmt.partials}.max(axis=(0, 2))",
+                f"    maxima = {stmt.partials}.max(axis=(0, 1))",
                 f"    needs = (maxima > 0.0) & (maxima < {stmt.threshold})",
                 "    safe = np.where(needs, maxima, 1.0)",
-                f"    {stmt.partials} /= safe[np.newaxis, :, np.newaxis]",
+                f"    {stmt.partials} /= safe",
                 f"    {stmt.scale_factors_log}[...] = np.log(safe)",
             ]
         if isinstance(stmt, AccumulateLogFactors):

@@ -74,7 +74,7 @@ __all__ = ["verify_kernel_ir", "verify_program_ir"]
 _SOURCE = "ir"
 
 #: Symbolic buffer shapes the statement emitters access.
-_CPS = ("category", "pattern", "state")
+_CPS = ("category", "state", "pattern")
 _CSS = ("category", "state", "state")
 _CSX = ("category", "state", "state+1")
 

@@ -8,7 +8,9 @@ schedule this work (scalar loops, vector units, threads, simulated
 devices), never in *what* they compute — tests assert cross-implementation
 agreement against these functions.
 
-Array layout (the host implementations' storage layout):
+Array layout (the storage layout of the host implementations and of
+the accelerated backends' device pools, whose lowered kernels emit
+these same array forms):
 
 * partials:  ``(n_categories, n_states, n_patterns)`` — patterns
   innermost, so the pattern axis is the contiguous vector axis.  This is
@@ -19,9 +21,8 @@ Array layout (the host implementations' storage layout):
 * tip states: ``(n_patterns,)`` int32, value ``n_states`` = gap/unknown
 
 The ``beagle_*`` surface (``set_partials``, ``set_tip_partials``,
-``get_partials``) and the accelerated backends' device pools and kernel
-IR keep BEAGLE's ``(n_categories, n_patterns, n_states)`` order; the
-implementations transpose only at those boundaries.
+``get_partials``) keeps BEAGLE's ``(n_categories, n_patterns,
+n_states)`` order; every implementation transposes only there.
 
 The partials kernels write straight into ``out`` and use one
 ``scratch`` array of the same shape for the second child's term, so a

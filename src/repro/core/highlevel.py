@@ -7,7 +7,7 @@ supports incremental re-evaluation after branch edits, which is what
 makes MCMC proposals cheap.
 
 Buffer layout (``n`` nodes, ``k = n - n_tips`` internal nodes, ``u`` the
-upper-partials buffers of :mod:`repro.core.upper` — ``2n + 1`` when
+upper-partials buffers of :mod:`repro.core.upper` — ``n + 1`` when
 enabled, else none):
 
 =====================  ==============================================
@@ -71,10 +71,10 @@ def instance_config(
     n_internal = n_nodes - n_tips
     # Two matrices hold first/second derivatives for Newton-style branch
     # optimisation (see root_edge_derivatives); upper-partials mode adds
-    # 2n+1 partials buffers and an identity matrix (see
+    # n+1 partials buffers and an identity matrix (see
     # repro.core.upper).  Slot 1 of every internal node's partials and
     # of every branch matrix follows.
-    extra_partials = (2 * n_nodes + 1) if enable_upper_partials else 0
+    extra_partials = (n_nodes + 1) if enable_upper_partials else 0
     extra_matrices = 3 if enable_upper_partials else 2
     return InstanceConfig(
         tip_count=n_tips,

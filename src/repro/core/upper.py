@@ -11,22 +11,19 @@ For a **reversible** model (``pi_i P_t[i, j] = pi_j P_t[j, i]``) the upper
 quantity factorises through the stationary distribution: writing
 ``U(v)[j]`` for the likelihood of all data outside ``v``'s subtree given
 state *j* at *v* (with the root prior included), one can show
-``U(v) = pi * W(v)`` where ``W`` obeys the *ordinary* (untransposed)
-propagation
+``U(v) = pi * (P_v tmp(v))``, where ``tmp(v)``, the upper partials at
+the *top* of the branch above ``v``, obeys the *ordinary*
+(untransposed) propagation
 
-    W(root) = 1
-    tmp(v)  = W(u) * (P_w L(w))        # u = parent, w = sibling
-    W(v)    = P_v (tmp(v))
+    tmp(v) = (P_u tmp(u)) * (P_w L(w))   # u = parent, w = sibling
+    tmp(v) = (I 1) * (P_w L(w))          # u = root
 
-— i.e. exactly the existing partials kernels with an identity matrix in
-the right slots.  Consequently
-
-* the likelihood across the branch above ``v`` is the standard edge
-  integration with ``parent = tmp(v)``, ``child = L(v)``, matrix
-  ``P_v`` — and its *t*-derivatives come from the derivative-matrix path;
-* evaluating with the identity matrix instead reproduces the root
-  likelihood from any node (the extended pulley principle, which the
-  tests assert for every branch).
+— one generic partials operation per non-root node (Gangavarapu et
+al.: one pre-order sweep, one update per node).  The likelihood across
+the branch above ``v`` is then the edge integration of ``tmp(v)``,
+``L(v)`` and ``P_v``, and its *t*-derivatives come from the
+derivative-matrix path; it equals the root likelihood for every branch
+(the extended pulley principle, which the tests assert).
 
 Everything here drives the public :class:`BeagleInstance` operation
 surface; no backend needs to know upper partials exist.
@@ -34,11 +31,10 @@ surface; no backend needs to know upper partials exist.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.flags import OP_NONE
 from repro.core.types import Operation
 from repro.tree.tree import Tree
 
@@ -50,9 +46,8 @@ class UpperPartials:
     (``n = tree.n_nodes``):
 
     ========================  =========================
-    ``n .. 2n-1``             ``W(v)`` per node index
-    ``2n .. 3n-1``            ``tmp(v)`` per node index
-    ``3n``                    all-ones buffer
+    ``n .. 2n-1``             ``tmp(v)`` per node index
+    ``2n``                    all-ones buffer
     ========================  =========================
 
     plus one identity transition matrix at ``matrix index n + 2`` (after
@@ -79,12 +74,11 @@ class UpperPartials:
         self.tl = tl
         self.tree: Tree = tl.tree
         n = self.tree.n_nodes
-        self._w_base = n
-        self._tmp_base = 2 * n
-        self._ones_index = 3 * n
+        self._tmp_base = n
+        self._ones_index = 2 * n
         self._identity_matrix = n + 2
         config = tl.instance.config
-        required = 3 * n + 1
+        required = 2 * n + 1
         if config.total_buffer_count < required:
             raise ValueError(
                 f"instance has {config.total_buffer_count} partials buffers "
@@ -103,11 +97,9 @@ class UpperPartials:
             self._identity_matrix, np.eye(c.state_count)
         )
         self._current = False
+        self._log_likelihood = 0.0
 
     # -- buffer addressing ---------------------------------------------------
-
-    def w_index(self, node_index: int) -> int:
-        return self._w_base + node_index
 
     def tmp_index(self, node_index: int) -> int:
         return self._tmp_base + node_index
@@ -115,26 +107,18 @@ class UpperPartials:
     # -- computation ----------------------------------------------------------
 
     def update(self) -> None:
-        """Recompute every ``tmp``/``W`` buffer from current lower partials.
+        """Recompute every ``tmp`` buffer from current lower partials.
 
-        The lower partials and transition matrices must be current (call
-        ``tl.log_likelihood()`` first); cost is two kernel launches per
-        non-root node, issued as one dependency-ordered operation list.
+        The lower partials, transition matrices and site log-likelihoods
+        must be current (call ``tl.log_likelihood()`` first); the pass is
+        one partials operation per non-root node, issued as one
+        dependency-ordered operation list.  It also records the root
+        reduction's log-likelihood, which :meth:`branch_gradients`
+        reports as every row's logL.
         """
         tl = self.tl
         ops: List[Operation] = []
-        root = self.tree.root
-        # W(root) = ones: alias by copying via identity op into W slot.
-        ops.append(
-            Operation(
-                destination=self.w_index(root.index),
-                child1=self._ones_index,
-                child1_matrix=self._identity_matrix,
-                child2=self._ones_index,
-                child2_matrix=self._identity_matrix,
-            )
-        )
-        for node in root.preorder():
+        for node in self.tree.root.preorder():
             if node.is_root:
                 continue
             parent = node.parent
@@ -143,27 +127,27 @@ class UpperPartials:
                 if parent.children[1] is node
                 else parent.children[1]
             )
-            # tmp(v) = W(u) * (P_w L(w))
+            # (P_u tmp(u)) * (P_w L(w)); (I 1) stands in below the root.
+            above, above_matrix = (
+                (self._ones_index, self._identity_matrix) if parent.is_root
+                else (self.tmp_index(parent.index),
+                      tl.matrix_index(parent.index))
+            )
             ops.append(
                 Operation(
                     destination=self.tmp_index(node.index),
-                    child1=self.w_index(parent.index),
-                    child1_matrix=self._identity_matrix,
+                    child1=above,
+                    child1_matrix=above_matrix,
                     child2=tl.partials_index(sibling.index),
                     child2_matrix=tl.matrix_index(sibling.index),
                 )
             )
-            # W(v) = P_v tmp(v)
-            ops.append(
-                Operation(
-                    destination=self.w_index(node.index),
-                    child1=self.tmp_index(node.index),
-                    child1_matrix=tl.matrix_index(node.index),
-                    child2=self._ones_index,
-                    child2_matrix=self._identity_matrix,
-                )
-            )
-        self.tl.instance.update_partials(ops)
+        tl.instance.update_partials(ops)
+        # The same sum the root reduction returned, over its own sites.
+        self._log_likelihood = float(np.dot(
+            np.asarray(tl.data.weights, dtype=float),
+            tl.site_log_likelihoods(),
+        ))
         self._current = True
 
     def invalidate(self) -> None:
@@ -188,21 +172,36 @@ class UpperPartials:
         node = self.tree.node_by_index(node_index)
         if node.is_root:
             raise ValueError("the root has no branch")
-        return self.tl.instance.calculate_edge_log_likelihoods(
-            self.tmp_index(node_index),
-            self.tl.partials_index(node_index),
+        return self._edge_integration(
+            self.tmp_index(node_index), node_index,
             self.tl.matrix_index(node_index),
         )
 
     def node_log_likelihood(self, node_index: int) -> float:
-        """Root-equivalent likelihood evaluated *at* a node:
-        ``sum_j pi_j W(v)[j] L(v)[j]``."""
+        """Root-equivalent likelihood evaluated *at* a node.
+
+        The edge integration ``(tmp(v), L(v), P_v)``, which for a
+        reversible model equals ``sum_j pi_j (P_v tmp(v))[j] L(v)[j]``;
+        at the root, ``(1, L(root), I)``.
+        """
         self._require_current()
-        return self.tl.instance.calculate_edge_log_likelihoods(
-            self.w_index(node_index),
-            self.tl.partials_index(node_index),
-            self._identity_matrix,
+        if self.tree.node_by_index(node_index).is_root:
+            parent, matrix = self._ones_index, self._identity_matrix
+        else:
+            parent = self.tmp_index(node_index)
+            matrix = self.tl.matrix_index(node_index)
+        return self._edge_integration(parent, node_index, matrix)
+
+    def _edge_integration(
+        self, parent: int, node_index: int, matrix: int
+    ) -> float:
+        value = self.tl.instance.calculate_edge_log_likelihoods(
+            parent, self.tl.partials_index(node_index), matrix
         )
+        # The instance's site log-likelihoods now describe this edge,
+        # not the root reduction.
+        self.tl._sites_current = False
+        return value
 
     def branch_derivatives(
         self, node_index: int, branch_length: Optional[float] = None
@@ -275,6 +274,10 @@ class UpperPartials:
             parents.append(self.tmp_index(idx))
             children.append(self.tl.partials_index(idx))
             lengths.append(node.branch_length)
-        return self.tl.instance.calculate_branch_gradients(
+        out = self.tl.instance.calculate_branch_gradients(
             0, parents, children, lengths
         )
+        # Column 0 is the root reduction's value, bit-equal to what
+        # ``log_likelihood()`` returned, not each edge's own sum.
+        out[:, 0] = self._log_likelihood
+        return out

@@ -19,6 +19,10 @@ Backend naming matches the paper's Fig. 3 leaves:
   host-vector ``cpu`` kernel variant (``kernel_variant="cpu"``): x86-style
   pattern work-groups dispatching one batched product, numerically
   bit-identical to the GPU backends
+
+Device partials pools share the host's ``(c, s, p)`` layout, so the
+``gpu`` and ``cpu`` kernels give the host's bits; only the ``beagle_*``
+boundary transposes, as in :mod:`repro.impl.base`.
 """
 
 from __future__ import annotations
@@ -94,7 +98,7 @@ class AcceleratedImplementation(BaseImplementation):
         interface.build_program(kernel_config, autotune=autotune)
 
         c = config
-        shape = (c.category_count, c.pattern_count, c.state_count)
+        shape = (c.category_count, c.state_count, c.pattern_count)
         self._d_partials = interface.allocate_pool(
             c.total_buffer_count, shape, self.dtype
         )
@@ -191,6 +195,25 @@ class AcceleratedImplementation(BaseImplementation):
             workgroup_patterns=block,
         )
 
+    def _fused_launch(
+        self, geom: LaunchGeometry, per_cost: KernelCost, n: int
+    ) -> Tuple[LaunchGeometry, KernelCost]:
+        """Geometry and cost of ``n`` independent entries in one launch."""
+        if self.interface.kernel_config.variant == "gpu":
+            (g_pat, g_state), (l_pat, l_state) = (
+                geom.global_size, geom.local_size
+            )
+            fused = LaunchGeometry((g_pat, g_state * n), (l_pat, l_state))
+        else:
+            (g_pat,), (l_pat,) = geom.global_size, geom.local_size
+            fused = LaunchGeometry((g_pat * n,), (l_pat,))
+        return fused, KernelCost(
+            flops=per_cost.flops * n,
+            bytes_moved=per_cost.bytes_moved * n,
+            n_workgroups=per_cost.n_workgroups * n,
+            working_set_bytes=per_cost.working_set_bytes * n,
+        )
+
     # -- data movement overrides ----------------------------------------------
 
     def set_tip_states(self, tip_index: int, states: np.ndarray) -> None:
@@ -203,9 +226,6 @@ class AcceleratedImplementation(BaseImplementation):
             self._d_tip_states[tip_index], self._tip_states[tip_index]
         )
 
-    # The device pool keeps the kernel IR's (c, p, s) layout, which is
-    # the beagle_* boundary's: validated partials upload as given.
-
     def _allocate_partials(self) -> None:
         return None
 
@@ -213,7 +233,8 @@ class AcceleratedImplementation(BaseImplementation):
         self._tip_states.pop(index, None)
         self._d_tip_states.pop(index, None)
         self.interface.upload(
-            self.interface.slot(self._d_partials, index), partials
+            self.interface.slot(self._d_partials, index),
+            partials.swapaxes(1, 2),
         )
         self._written_partials.add(index)
 
@@ -225,7 +246,7 @@ class AcceleratedImplementation(BaseImplementation):
             )
         return self.interface.download(
             self.interface.slot(self._d_partials, index)
-        )
+        ).swapaxes(1, 2).copy()
 
     def set_transition_matrix(self, index: int, matrix: np.ndarray) -> None:
         super().set_transition_matrix(index, matrix)
@@ -349,7 +370,7 @@ class AcceleratedImplementation(BaseImplementation):
             factors = self.interface.view(
                 self.interface.slot(self._d_scales, op.read_scale)
             )
-            view *= np.exp(factors)[np.newaxis, :, np.newaxis]
+            view *= np.exp(factors)
         if op.write_scale != OP_NONE:
             c = self.config
             scale_cost = KernelCost(
@@ -404,23 +425,9 @@ class AcceleratedImplementation(BaseImplementation):
                     ],
                 )
             )
-        if self.interface.kernel_config.variant == "gpu":
-            g_pat, g_state = geom.global_size
-            l_pat, l_state = geom.local_size
-            level_geom = LaunchGeometry(
-                (g_pat, g_state * n), (l_pat, l_state)
-            )
-        else:
-            (g_pat,), (l_pat,) = geom.global_size, geom.local_size
-            level_geom = LaunchGeometry((g_pat * n,), (l_pat,))
-        level_cost = KernelCost(
-            flops=per_cost.flops * n,
-            bytes_moved=per_cost.bytes_moved * n,
-            n_workgroups=per_cost.n_workgroups * n,
-            working_set_bytes=per_cost.working_set_bytes * n,
-        )
         self.interface.launch_batch(
-            "kernelPartialsLevelNoScale", batch, level_geom, level_cost
+            "kernelPartialsLevelNoScale", batch,
+            *self._fused_launch(geom, per_cost, n),
         )
         for op in operations:
             self._apply_device_scaling(op, geom)
@@ -589,8 +596,8 @@ class AcceleratedImplementation(BaseImplementation):
             batch.append((
                 "kernelEdgeDerivatives",
                 [site_ll[e], site_d1[e], site_d2[e],
-                 self._dense_partials(parent_indices[e]).swapaxes(1, 2),
-                 self._dense_partials(child_indices[e]).swapaxes(1, 2),
+                 self._dense_partials(parent_indices[e]),
+                 self._dense_partials(child_indices[e]),
                  p_mats[e], d1_mats[e], d2_mats[e],
                  category_weights, state_frequencies,
                  self._pattern_weights, cumulative_scale_log],
@@ -603,23 +610,9 @@ class AcceleratedImplementation(BaseImplementation):
             np.dtype(self.dtype).itemsize,
             workgroup_patterns=block,
         )
-        if self.interface.kernel_config.variant == "gpu":
-            g_pat, g_state = geom.global_size
-            l_pat, l_state = geom.local_size
-            sweep_geom = LaunchGeometry(
-                (g_pat, g_state * n), (l_pat, l_state)
-            )
-        else:
-            (g_pat,), (l_pat,) = geom.global_size, geom.local_size
-            sweep_geom = LaunchGeometry((g_pat * n,), (l_pat,))
-        sweep_cost = KernelCost(
-            flops=per_cost.flops * n,
-            bytes_moved=per_cost.bytes_moved * n,
-            n_workgroups=per_cost.n_workgroups * n,
-            working_set_bytes=per_cost.working_set_bytes * n,
-        )
         self.interface.launch_batch(
-            "kernelEdgeGradientsBatch", batch, sweep_geom, sweep_cost
+            "kernelEdgeGradientsBatch", batch,
+            *self._fused_launch(geom, per_cost, n),
         )
         pw = self._pattern_weights
         out = np.empty((n, 3))
@@ -637,12 +630,12 @@ class AcceleratedImplementation(BaseImplementation):
         )
 
     def _dense_partials(self, index: int) -> np.ndarray:
-        """Host-layout ``(c, s, p)`` view; device buffers are transposed."""
+        """The ``(c, s, p)`` device view of one buffer."""
         if index in self._tip_states:
             return super()._dense_partials(index)
         return self.interface.view(
             self.interface.slot(self._d_partials, index)
-        ).swapaxes(1, 2)
+        )
 
     def finalize(self) -> None:
         self.interface.finalize()

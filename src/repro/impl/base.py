@@ -905,9 +905,8 @@ class BaseImplementation(abc.ABC):
         """View any buffer as dense ``(c, s, p)`` partials.
 
         A compact tip expands to one row per pattern of the gap-extended
-        identity: one-hot for a known state, all ones for a gap.  The
-        view is the transpose of those ``(p, s)`` rows, so swapping its
-        last two axes gives the ``(c, p, s)`` layout without a copy.
+        identity: one-hot for a known state, all ones for a gap, viewed
+        (without a copy) as the transpose of those ``(p, s)`` rows.
         """
         if index not in self._tip_states:
             return self._partials[index]

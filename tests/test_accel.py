@@ -307,9 +307,9 @@ class TestKernelGeneration:
         model = HKY85(2.0)
         l1, l2 = rng.random((2, 5, 4)), rng.random((2, 5, 4))
         mats = np.stack([model.transition_matrix(0.1)] * 2)
-        want = compute.update_partials_pp(
-            l1.swapaxes(1, 2), mats, l2.swapaxes(1, 2), mats
-        ).swapaxes(1, 2)
+        # Kernels take the host's (c, s, p) layout.
+        l1, l2 = l1.swapaxes(1, 2), l2.swapaxes(1, 2)
+        want = compute.update_partials_pp(l1, mats, l2, mats)
         for macros in (CUDA_MACROS, OPENCL_MACROS):
             for variant in ("gpu", "x86"):
                 config = KernelConfig(4, variant=variant)

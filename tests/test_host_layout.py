@@ -1,8 +1,8 @@
 """Host partials layout: the (c, p, s) boundary and in-place kernels.
 
-Host implementations store partials patterns-innermost, ``(c, s, p)``,
-and transpose only at ``set_partials``/``set_tip_partials``/
-``get_partials``; accelerated backends keep ``(c, p, s)`` device pools.
+Host implementations and accelerated device pools store partials
+patterns-innermost, ``(c, s, p)``, and transpose only at
+``set_partials``/``set_tip_partials``/``get_partials``.
 The kernels in ``repro.core.compute`` take ``(c, s, p)`` arrays here.
 """
 

@@ -55,11 +55,11 @@ CPU_SPACE = (
 
 PARTIALS_PARAMS = (
     Param("partials", role="in",
-          extent=("category", "pattern", "state")),
+          extent=("category", "state", "pattern")),
     Param("matrices", role="in",
           extent=("category", "state", "state")),
     Param("dest", role="out",
-          extent=("category", "pattern", "state")),
+          extent=("category", "state", "pattern")),
 )
 
 
@@ -202,7 +202,7 @@ class TestRolesAndExtents:
             Param("matrices", role="in",
                   extent=("category", "state", "state")),
             Param("dest", role="out",
-                  extent=("category", "pattern", "state")),
+                  extent=("category", "state", "pattern")),
         ), space=CPU_SPACE)
         diags = verify_kernel_ir(kernel, CONFIG)
         assert "param-oob" in _codes(_errors(diags))
@@ -215,7 +215,7 @@ class TestRolesAndExtents:
             Param("matrices_ext", role="in",
                   extent=("category", "state", "state+1")),
             Param("dest", role="out",
-                  extent=("category", "pattern", "state")),
+                  extent=("category", "state", "pattern")),
         ), space=CPU_SPACE)
         assert verify_kernel_ir(kernel, CONFIG) == []
 
@@ -223,11 +223,11 @@ class TestRolesAndExtents:
         kernel = _kernel([
             InnerProduct("dest", "partials", "matrices"),
         ], params=(
-            Param("partials", role="in", extent=("pattern", "state")),
+            Param("partials", role="in", extent=("state", "pattern")),
             Param("matrices", role="in",
                   extent=("category", "state", "state")),
             Param("dest", role="out",
-                  extent=("category", "pattern", "state")),
+                  extent=("category", "state", "pattern")),
         ), space=CPU_SPACE)
         diags = verify_kernel_ir(kernel, CONFIG)
         assert "param-oob" in _codes(_errors(diags))

@@ -2,9 +2,10 @@
 
 The recorded table comes from the calibrated dual-Xeon system model (the
 reproduction host has 2 vCPUs, so the paper's 56-thread speedups are not
-wall-clock reproducible; see EXPERIMENTS.md).  The pytest-benchmark
-timings exercise the real serial / futures / thread-create / thread-pool
-implementations on a reduced workload.
+wall-clock reproducible; see EXPERIMENTS.md).  The model keeps all four
+designs; the library ships only the last, the thread pool, so the
+pytest-benchmark timings exercise the real serial, cpu-sse and
+thread-pool implementations on a reduced workload.
 """
 
 import pytest
@@ -12,16 +13,14 @@ import pytest
 from benchmarks.conftest import build_impl
 from repro.bench import table3_threading
 from repro.impl import (
-    CPUFuturesImplementation,
     CPUSerialImplementation,
-    CPUThreadCreateImplementation,
+    CPUSSEImplementation,
     CPUThreadPoolImplementation,
 )
 
 DESIGNS = {
     "serial": CPUSerialImplementation,
-    "futures": CPUFuturesImplementation,
-    "thread-create": CPUThreadCreateImplementation,
+    "cpu-sse": CPUSSEImplementation,
     "thread-pool": CPUThreadPoolImplementation,
 }
 

@@ -3,25 +3,21 @@
 from repro.impl.accelerated import AcceleratedImplementation
 from repro.impl.base import BaseImplementation
 from repro.impl.cpu_serial import CPUSerialImplementation
-from repro.impl.cpu_sse import CPUSSEImplementation
+from repro.impl.cpu_sse import (
+    CPUSSEImplementation,
+    CPUThreadPoolImplementation,
+)
 from repro.impl.registry import (
     ImplementationPlugin,
     register_plugin,
     registered_plugins,
     unregister_plugin,
 )
-from repro.impl.threading import (
-    CPUFuturesImplementation,
-    CPUThreadCreateImplementation,
-    CPUThreadPoolImplementation,
-)
 
 __all__ = [
     "BaseImplementation",
     "CPUSerialImplementation",
     "CPUSSEImplementation",
-    "CPUFuturesImplementation",
-    "CPUThreadCreateImplementation",
     "CPUThreadPoolImplementation",
     "AcceleratedImplementation",
     "ImplementationPlugin",

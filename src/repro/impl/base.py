@@ -628,9 +628,8 @@ class BaseImplementation(abc.ABC):
         """Run one level of mutually independent, validated operations.
 
         The default replays the per-call path, which on the host CPU
-        backends is one wave of pattern slices; the futures and
-        accelerated backends override this to run the level's
-        operations side by side.
+        backends is one wave of pattern slices; the accelerated backends
+        override this to run the level's operations side by side.
         """
         self._execute_operations(list(operations))
 

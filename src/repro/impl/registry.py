@@ -80,10 +80,8 @@ def registered_plugins() -> List[ImplementationPlugin]:
 def _register_builtins() -> None:
     from repro.impl.accelerated import AcceleratedImplementation
     from repro.impl.cpu_serial import CPUSerialImplementation
-    from repro.impl.cpu_sse import CPUSSEImplementation
-    from repro.impl.threading import (
-        CPUFuturesImplementation,
-        CPUThreadCreateImplementation,
+    from repro.impl.cpu_sse import (
+        CPUSSEImplementation,
         CPUThreadPoolImplementation,
     )
 
@@ -131,22 +129,6 @@ def _register_builtins() -> None:
             flags=CPUThreadPoolImplementation.flags,
             priority=30,
             factory=cpu_factory(CPUThreadPoolImplementation),
-        )
-    )
-    register_plugin(
-        ImplementationPlugin(
-            name="CPU-threaded-create",
-            flags=CPUThreadCreateImplementation.flags,
-            priority=28,
-            factory=cpu_factory(CPUThreadCreateImplementation),
-        )
-    )
-    register_plugin(
-        ImplementationPlugin(
-            name="CPU-threaded-futures",
-            flags=CPUFuturesImplementation.flags,
-            priority=26,
-            factory=cpu_factory(CPUFuturesImplementation),
         )
     )
     register_plugin(

@@ -1,6 +1,7 @@
 """CPU implementations: semantics, validation, and cross-agreement."""
 
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,14 +9,17 @@ import pytest
 from repro.core.flags import OP_NONE, Flag
 from repro.core.types import InstanceConfig, Operation
 from repro.impl import (
-    CPUFuturesImplementation,
     CPUSerialImplementation,
     CPUSSEImplementation,
-    CPUThreadCreateImplementation,
     CPUThreadPoolImplementation,
 )
+from repro.impl.cpu_sse import MIN_PATTERNS_FOR_THREADING, pattern_slices
 from repro.model import GY94, HKY85, SiteModel
-from repro.seq import compress_patterns, simulate_alignment
+from repro.seq import (
+    compress_patterns,
+    simulate_alignment,
+    synthetic_pattern_set,
+)
 from repro.tree import plan_traversal, yule_tree
 from repro.util.errors import (
     BeagleError,
@@ -27,8 +31,6 @@ from tests.conftest import drive_instance, make_config
 CPU_CLASSES = [
     CPUSerialImplementation,
     CPUSSEImplementation,
-    CPUFuturesImplementation,
-    CPUThreadCreateImplementation,
     CPUThreadPoolImplementation,
 ]
 
@@ -246,10 +248,24 @@ class TestThreadingSpecifics:
         assert impl._pool is None
 
     def test_small_problem_falls_back_to_serial(self):
-        # Below the 512-pattern minimum the threaded path is bypassed.
-        from repro.impl.threading.common import MIN_PATTERNS_FOR_THREADING
-
+        """Below the 512-pattern minimum the pool is bypassed: no task,
+        no wave.  At the minimum one wave runs one task per slice."""
         assert MIN_PATTERNS_FOR_THREADING == 512
+        tree = yule_tree(6, rng=59)
+        plan = plan_traversal(tree)
+        for n_patterns, waves in ((511, 0), (512, 1)):
+            ps = synthetic_pattern_set(tree.n_tips, n_patterns, 4, rng=60)
+            cfg = make_config(tree, ps, HKY85(2.0), SiteModel.uniform())
+            impl = CPUThreadPoolImplementation(cfg, thread_count=2)
+            tracer, metrics = impl.instrument()
+            for t in range(tree.n_tips):
+                impl.set_tip_states(t, ps.tip_states[t])
+            impl.update_partials(plan.operations)
+            impl.finalize()
+            assert metrics.counter("threadpool.tasks").value == waves * len(
+                pattern_slices(n_patterns, impl.thread_count)
+            ), n_patterns
+            assert tracer.count(kind="wave") == waves, n_patterns
 
     @pytest.fixture(scope="class")
     def scaled_workload(self):
@@ -311,7 +327,7 @@ class TestThreadingSpecifics:
         return result
 
     def test_threaded_scaling_path(self, scaled_workload):
-        """Scaled traversals on every threaded design match cpu-sse
+        """Scaled traversals on the thread-pool backend match cpu-sse
         exactly, eager and deferred, in both scaling modes: rescaling is
         per pattern, so slicing never changes it.  Three workers and a
         short switch interval make slice tasks interleave, so a write
@@ -340,28 +356,22 @@ class TestThreadingSpecifics:
                     if scaling_mode == "dynamic":
                         assert np.any(factors == 0.0)
                     assert np.isfinite(ref[0])
-                    for cls in (CPUThreadPoolImplementation,
-                                CPUThreadCreateImplementation,
-                                CPUFuturesImplementation):
-                        case = (cls.name, precision, scaling_mode, deferred)
-                        got = self.run_scaled(
-                            scaled_workload, cls, precision, scaling_mode,
-                            deferred, thread_count=3,
-                        )
-                        assert got[0] == ref[0], case
-                        assert np.array_equal(got[1], ref[1]), case
-                        assert np.array_equal(got[2], ref[2]), case
+                    case = (precision, scaling_mode, deferred)
+                    got = self.run_scaled(
+                        scaled_workload, CPUThreadPoolImplementation,
+                        precision, scaling_mode, deferred, thread_count=3,
+                    )
+                    assert got[0] == ref[0], case
+                    assert np.array_equal(got[1], ref[1]), case
+                    assert np.array_equal(got[2], ref[2]), case
 
     @pytest.mark.parametrize("cls, counter", [
         (CPUThreadPoolImplementation, "threadpool.tasks"),
-        (CPUThreadCreateImplementation, "threads.created"),
     ])
     def test_scaled_traversal_is_one_wave(self, scaled_workload, cls,
                                           counter):
         """One eager scaled update_partials runs one task per pattern
         slice, not one per (operation, slice) pair."""
-        from repro.impl.threading import pattern_slices
-
         tree, ps, model, sm = scaled_workload
         cfg = make_config(tree, ps, model, sm, scale_buffers=tree.n_internal + 1)
         impl = cls(cfg, thread_count=2)
@@ -376,36 +386,28 @@ class TestThreadingSpecifics:
         assert tracer.count(kind="wave") == 1
 
     def test_worker_exception_propagates(self):
-        tree = yule_tree(4, rng=57)
-        model = HKY85(2.0)
-        sm = SiteModel.uniform()
-        aln = simulate_alignment(tree, model, 600, rng=58)
-        ps = compress_patterns(aln)
-        cfg = make_config(tree, ps, model, sm)
-        impl = CPUThreadCreateImplementation(cfg, thread_count=2)
-        # Matrices were never initialised -> kernels see zero matrices,
-        # which is fine; instead corrupt a matrix buffer reference to
-        # force an exception inside workers.
+        """A slice task's error surfaces from update_partials, after
+        every task has joined; finalize then shuts the pool down."""
+        tree = yule_tree(6, rng=57)
+        ps = synthetic_pattern_set(tree.n_tips, 600, 4, rng=58)
+        cfg = make_config(tree, ps, HKY85(2.0), SiteModel.uniform())
+        threads_before = set(threading.enumerate())
+        impl = CPUThreadPoolImplementation(cfg, thread_count=2)
+        assert len(impl._slices()) == 2
+        # A missing matrix store fails inside every slice task.
         impl._matrices = None
         plan = plan_traversal(tree)
-        with pytest.raises(Exception):
+        with pytest.raises(TypeError):
             impl.update_partials(plan.operations)
-
-    def test_dependency_levels_helper(self):
-        from repro.impl.threading.common import dependency_levels
-
-        ops = [
-            Operation(4, 0, 0, 1, 1),
-            Operation(5, 2, 2, 3, 3),
-            Operation(6, 4, 4, 5, 5),
+        assert impl._pool is not None
+        impl.finalize()
+        assert impl._pool is None
+        assert not [
+            t for t in set(threading.enumerate()) - threads_before
+            if t.name.startswith("beagle-pool")
         ]
-        levels = dependency_levels(ops)
-        assert [len(l) for l in levels] == [2, 1]
-        assert levels[1][0].destination == 6
 
     def test_pattern_slices_cover_everything(self):
-        from repro.impl.threading.common import pattern_slices
-
         slices = pattern_slices(1000, 7)
         covered = []
         for sl in slices:
@@ -413,7 +415,5 @@ class TestThreadingSpecifics:
         assert covered == list(range(1000))
 
     def test_pattern_slices_more_chunks_than_patterns(self):
-        from repro.impl.threading.common import pattern_slices
-
         slices = pattern_slices(3, 8)
         assert len(slices) == 3

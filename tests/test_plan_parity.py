@@ -21,10 +21,8 @@ from repro.core.instance import BeagleInstance
 from repro.core.types import InstanceConfig, InstanceDetails
 from repro.impl import (
     AcceleratedImplementation,
-    CPUFuturesImplementation,
     CPUSerialImplementation,
     CPUSSEImplementation,
-    CPUThreadCreateImplementation,
     CPUThreadPoolImplementation,
 )
 from repro.model import HKY85, SiteModel
@@ -34,8 +32,6 @@ from repro.tree import plan_traversal, yule_tree
 CPU_BACKENDS = [
     (CPUSerialImplementation, {}),
     (CPUSSEImplementation, {}),
-    (CPUFuturesImplementation, {"thread_count": 3}),
-    (CPUThreadCreateImplementation, {"thread_count": 3}),
     (CPUThreadPoolImplementation, {"thread_count": 3}),
 ]
 

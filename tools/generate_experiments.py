@@ -384,6 +384,176 @@ against the change without it): eval `mean_ms.c` 41.18 [40.33, 42.00]
 → 38.18 [37.41, 38.89] ms, 6 of 6 pairs, −7.3%.  It is kept because
 that clears 5%.
 
+## One partials layout, one pre-order operation per node
+
+`python3 perfbench/run.py --workload <w> --seconds 12`, untraced, on a
+2-vCPU host (Python 3.11.7, NumPy 2.4.6), alternating which side ran
+first.  Parent: device partials pools in `(c, p, s)`, and an upper
+pass of two operations per node (`tmp(v) = I·W(u) ∘ P_w L(w)`,
+`W(v) = P_v tmp(v) ∘ I·1`).  Change: device pools in the host's
+`(c, s, p)` with the host's array forms in every emitter (DESIGN
+choices 18 and 22), and one operation per node,
+`tmp(v) = (P_u tmp(u)) ∘ (P_w L(w))` (choice 16), with the gradient's
+logL column taken from the root reduction.  Median [quartiles];
+"wins" counts pairs where the change reads better.  The claim is eval
+`mean_ms.c`.
+
+Eval, seeds 1–10 (full on cpu-sse; codon and grad on cuda-sim):
+
+| metric | parent | change | wins |
+|---|---:|---:|---:|
+| `mean_ms.c` (grad) | 39.98 [38.67, 42.26] | 20.81 [20.35, 22.62] | 10/10 |
+| `mean_ms.b` (codon) | 20.85 [20.19, 21.12] | 18.87 [18.49, 19.21] | 10/10 |
+| `mean_ms.a` (full) | 14.47 [14.10, 14.60] | 14.33 [13.93, 14.63] | 3/10 |
+| `rate_per_s` | 40.18 [38.82, 40.81] | 55.04 [53.35, 57.15] | 10/10 |
+| `tail_ratio.a` / `.b` / `.c` | 1.095 / 1.092 / 1.127 | 1.071 / 1.087 / 1.082 | 8, 7, 7 |
+| `setup_s` | 0.190 [0.181, 0.194] | 0.162 [0.158, 0.167] | 10/10 |
+| `peak_rss_mb` | 219.8 [219.5, 219.9] | 204.3 [203.9, 204.4] | 10/10 |
+| `check.inexact_frac` | 0.065–0.146 | 0.0 on every seed | |
+
+The claimed gain holds: `mean_ms.c` fell by 19.2 ms (−48%), 5.4 times
+the parent's interquartile range (3.58 ms), in 10 of 10 pairs.  An
+earlier set of ten pairs, run while only comments and a shared
+fused-launch helper still changed, gave the same picture: `mean_ms.c`
+41.01 → 21.74 ms (10/10), `mean_ms.b` 20.70 → 18.91, `peak_rss_mb`
+219.6 → 204.3, `check.inexact_frac` 0.0 on seeds 1–10.  The full op
+(cpu-sse) runs no changed code; it reads within 1%.  `peak_rss_mb`
+fell because upper partials take n + 1 buffers, not 2n + 1.
+
+Other workloads (split runs these kernels on its gpu component; mcmc
+and serve run only cpu-sse and share no changed code):
+
+| workload | metric | parent | change | wins |
+|---|---|---:|---:|---:|
+| split | `rate_per_s` | 26.73 [26.17, 27.20] | 29.27 [28.76, 30.21] | 10/10 |
+| split | `mean_ms.a` / `.b` / `.c` | 25.87 / 25.30 / 61.03 | 23.77 / 21.32 / 58.47 | 10, 10, 9 |
+| split | `tail_ratio.a` / `.b` / `.c` | 1.118 / 1.159 / 1.109 | 1.139 / 1.207 / 1.106 | 4, 2, 6 |
+| split | `setup_s` / `peak_rss_mb` | 0.0546 / 155.3 | 0.0533 / 154.7 | 8, 6 |
+| mcmc | `rate_per_s` | 172.7 [164.2, 179.0] | 168.3 [164.8, 172.4] | 4/10 |
+| mcmc | `mean_ms.a` / `.b` / `.c` | 2.045 / 12.33 / 13.65 | 2.103 / 12.70 / 13.74 | 2, 3, 6 |
+| mcmc | `tail_ratio.a` / `.b` / `.c` | 1.343 / 1.136 / 1.111 | 1.332 / 1.118 / 1.122 | 8, 6, 7 |
+| serve | `mean_ms.a` / `.b` / `.c` | 6.33 / 6.28 / 15.12 | 6.42 / 6.40 / 14.94 | 6, 5, 7 |
+| serve | `tail_ratio.a` / `.b` / `.c` | 1.128 / 1.166 / 1.137 | 1.136 / 1.177 / 1.168 | 3, 5, 2 |
+| serve | `rate_per_s` / `peak_rss_mb` | 10.88 / 108.8 | 10.88 / 108.6 | 7, 9 |
+
+split, mcmc and serve ran seeds 1–10 (mcmc and serve in two batches of
+five).  `ok_frac` was 1.0 and every value passed its check on every
+run.  No median moved past its bound; the largest moves against the
+change are split `tail_ratio.b` +4.1% and mcmc `mean_ms.b` +3.0%
+(bound 0.25 each).  serve's first batch had three change-side runs
+with `tail_ratio.c` 1.51–1.79 (seeds 1, 3, 4) on code that serve does
+not execute; a second batch of the same five seeds read 1.09–1.16
+against the parent's 1.13–1.22, so those three are host noise, and
+serve's tail ratios are unresolved at this spread rather than
+unchanged.
+
+Per layer (one traced run per side, seed 1, 12 s, raw host ms):
+`upper.update_ms` 14.56 → 4.71, `grad.batch_ms` 14.43 → 9.56, the grad
+op's `partials.update` 3.90 → 2.26, `plan.flush_ms` (codon) 19.04 →
+16.86; grad op wall 35.2 → 18.4 ms.  The upper pass now issues 62
+operations per grad op instead of 125 at 32 taxa; perfbench still adds
+125 to `partials.ops` (a hard-coded count, CHANGES.md FOUND).
+`accel.launches` 100.5 → 69.0 and `accel.sim_ms` 3.363 → 3.119 are
+workload means over the codon and grad ops; the codon op alone keeps
+its simulated time and launch count to the last digit (24-taxon GY94,
+deferred: 1.5406 ms, 12 launches), while a 32-taxon grad op went
+2.440 → 1.961 ms and 159 → 96 launches.  `bench_gradients.py` at 64
+branches: fused 2.331 → 1.872 ms, serial 4.692 → 4.234 ms, speedup
+2.01 → 2.26, refresh launches 163 → 98.
+
+## Table III on wall clock
+
+Measured at the commit before the futures and thread-create backends
+were removed, so this section is their only wall-clock record; Table
+III itself stays regenerated from the calibrated model, all four
+columns.  Input: one full `update_partials` pass over a balanced tree
+(`benchmarks/conftest.build_impl`: HKY+Γ4, compact tip states, random
+unique patterns), 10,000 patterns, 2 threads for each threaded design.
+A sample is the median of 3 calls on a freshly built instance after
+one warm-up call.  11 rounds, the design order reversed every other
+round.  Host: 2 vCPUs (Intel Xeon), Python 3.11.7, NumPy 2.4.6.
+Median ms [quartiles]; the last three columns count the rounds a
+design beat another.
+
+| tips | precision | cpu-sse | futures | thread-create | thread-pool | futures beat pool | create beat pool | pool beat cpu-sse |
+|---:|---|---:|---:|---:|---:|---:|---:|---:|
+| 8 | single | 2.13 [2.06, 2.65] | 4.74 [4.43, 5.15] | 4.15 [3.63, 4.83] | 2.71 [2.67, 3.02] | 2/11 | 2/11 | 1/11 |
+| 8 | double | 4.48 [3.93, 4.60] | 6.14 [5.64, 6.45] | 5.06 [4.71, 6.34] | 3.80 [3.69, 4.09] | 0/11 | 2/11 | 7/11 |
+| 16 | single | 6.98 [6.35, 7.37] | 9.78 [8.46, 10.35] | 8.09 [6.23, 10.21] | 6.41 [6.12, 6.62] | 2/11 | 4/11 | 8/11 |
+| 16 | double | 9.84 [9.55, 10.51] | 11.65 [11.02, 12.13] | 9.05 [8.26, 11.24] | 8.97 [7.84, 9.93] | 2/11 | 2/11 | 9/11 |
+| 64 | single | 30.57 [28.58, 31.31] | 28.22 [26.69, 33.23] | 25.81 [24.65, 26.14] | 23.92 [23.21, 24.29] | 0/11 | 4/11 | 10/11 |
+| 64 | double | 43.21 [41.21, 44.43] | 31.76 [30.82, 33.19] | 31.95 [30.84, 34.15] | 30.10 [29.04, 33.13] | 5/11 | 3/11 | 10/11 |
+| 128 | single | 68.10 [67.28, 71.44] | 48.40 [42.59, 50.87] | 47.64 [46.45, 50.89] | 47.71 [44.23, 49.75] | 5/11 | 2/11 | 11/11 |
+| 128 | double | 76.41 [70.03, 82.44] | 56.41 [51.97, 57.37] | 56.87 [52.03, 57.62] | 55.85 [55.68, 58.67] | 7/11 | 6/11 | 11/11 |
+
+* The pool has the lowest median of the three threaded designs in 7
+  of 8 cells and ties thread-create in the eighth (128 tips, single:
+  47.71 against 47.64 ms).  Neither earlier design beat it in 9 of 10
+  rounds anywhere: futures' best is 7 of 11 (128 tips, double), with
+  medians 1% apart.  An earlier unpaired probe had futures ahead there
+  in 16 of 21 samples; the paired rounds do not reproduce that.
+* At 8 and 16 tips futures is the slowest design: its parallelism is
+  the tree's width per dependency level, and each level pays for a
+  fresh executor.  With wider levels it closes in: its median is 18%
+  above the pool's at 64 tips in single precision and within 1.5% at
+  128 tips.
+* cpu-sse beats every threaded design at 8 tips in single precision.
+  From 16 tips up the pool beats cpu-sse in 8 to 11 rounds of 11, by
+  up to 1.43× at 128 tips (68.1 against 47.7 ms, single).
+
+Crossover between cpu-sse and the pool, same input and host, single
+precision, 21 rounds:
+
+| tips | patterns | cpu-sse | thread-pool | pool beat cpu-sse |
+|---:|---:|---:|---:|---:|
+| 8 | 2,000 | 0.40 [0.37, 0.53] | 1.28 [1.16, 1.46] | 0/21 |
+| 8 | 4,000 | 0.71 [0.70, 1.07] | 1.58 [1.44, 1.67] | 0/21 |
+| 8 | 6,000 | 1.07 [1.05, 1.13] | 1.87 [1.56, 1.99] | 1/21 |
+| 8 | 8,000 | 2.42 [2.36, 2.57] | 2.51 [2.38, 2.66] | 6/21 |
+| 8 | 12,000 | 2.55 [2.47, 3.35] | 3.05 [2.63, 3.30] | 11/21 |
+| 64 | 2,000 | 6.65 [4.69, 7.05] | 10.74 [10.10, 11.34] | 0/21 |
+| 64 | 4,000 | 8.47 [8.18, 9.02] | 12.67 [11.89, 14.11] | 0/21 |
+| 64 | 6,000 | 17.08 [12.60, 19.12] | 15.09 [14.27, 15.82] | 14/21 |
+| 64 | 8,000 | 24.43 [18.41, 24.96] | 17.88 [17.21, 18.74] | 18/21 |
+| 64 | 12,000 | 30.47 [27.46, 37.12] | 25.99 [24.62, 26.34] | 21/21 |
+
+At 64 tips the pool starts to win between 4,000 and 6,000 patterns;
+at 8 tips it never wins clearly up to 12,000.  Both crossovers sit
+where cpu-sse's time per pattern jumps (8 tips: 1.07 ms at 6,000,
+2.42 ms at 8,000), which suggests the pool's half-size slices still
+fit a cache level the whole array has left; that reading is not
+established.  The 512-pattern threading minimum
+(`MIN_PATTERNS_FOR_THREADING`, the paper's value) is far below either
+crossover on this host and is left as it is; ROADMAP item 10 carries
+re-deriving it.
+
+The deletion itself claims no gain.  `python3 perfbench/run.py
+--workload <w> --seconds 12`, untraced, same host, parent and change
+alternating which ran first; five pairs per workload (seeds 1–5), ten
+for serve (seeds 1–10).  Median [quartiles]:
+
+| workload | metric | parent | change | change wins |
+|---|---|---:|---:|---:|
+| eval | `mean_ms.a` (full, cpu-sse) | 14.46 [14.21, 14.46] | 14.71 [14.56, 15.45] | 2/5 |
+| eval | `rate_per_s` | 52.18 [51.59, 53.62] | 52.51 [49.65, 52.60] | 2/5 |
+| mcmc | `rate_per_s` | 164.3 [163.4, 164.8] | 166.4 [166.3, 168.5] | 5/5 |
+| mcmc | `mean_ms.a` / `.b` / `.c` | 2.212 / 12.91 / 14.26 | 2.188 / 12.55 / 13.95 | 4, 5, 5 |
+| serve | `mean_ms.a` / `.b` / `.c` | 6.33 / 6.51 / 15.36 | 6.38 / 6.38 / 15.01 | 6, 7, 6 |
+| serve | `tail_ratio.a` / `.b` / `.c` | 1.258 / 1.196 / 1.180 | 1.248 / 1.318 / 1.253 | 3, 4, 5 |
+| split | `rate_per_s` | 26.32 [25.97, 28.93] | 26.45 [25.91, 26.54] | 2/5 |
+| split | `mean_ms.a` / `.b` / `.c` | 25.49 / 24.38 / 63.30 | 25.82 / 25.16 / 62.47 | 1, 2, 2 |
+
+Every run passed its correctness check with `ok_frac` 1.0, and no
+median of any end-to-end metric on any workload moved against the
+change by more than its bound.  The largest moves were serve
+`tail_ratio.b` +10.2% and eval `tail_ratio.c` +7.2%; `peak_rss_mb`
+and `setup_s` stayed within 6%.  serve's tail ratios spread wider
+than their bound at both commits (parent `tail_ratio.a` quartiles
+1.14–1.77; one parent run read 4.48), so they are unresolved, not
+unchanged.  cpu-sse's one-slice path does the same work per call as
+before: the pool, its root split and `finalize` moved into the shared
+class, and cpu-sse never creates a pool.
+
 ## Regenerated tables
 
 Regenerate at any time with `pybeagle-experiments` or

@@ -353,7 +353,13 @@ class MatrixExpADB(Stmt):
 
 @dataclass(frozen=True)
 class DynamicRescale(Stmt):
-    """Per-pattern dynamic rescaling with stored log factors."""
+    """Per-pattern power-of-two rescaling with stored exponents.
+
+    Multiplies each pattern by ``2**-e``, ``e = frexp(maximum)``, where
+    the maximum fell below ``threshold``, and stores ``e`` (as float64)
+    in the buffer named ``scale_factors_log``: its log factor is
+    ``e * ln 2``, applied where a scale enters a log-likelihood.
+    """
 
     partials: str
     scale_factors_log: str
@@ -368,7 +374,7 @@ class DynamicRescale(Stmt):
 
 @dataclass(frozen=True)
 class AccumulateLogFactors(Stmt):
-    """``cumulative += sum`` of per-buffer log scale factors."""
+    """``cumulative += sum`` of per-buffer scale exponents (exact)."""
 
     cumulative: str
     factor_buffers: str
@@ -400,7 +406,7 @@ class SiteReduce(Stmt):
 
 @dataclass(frozen=True)
 class LogWithScale(Stmt):
-    """``out = log(site) (+ cumulative scale factors)``."""
+    """``out = log(site) (+ cumulative scale exponents * ln 2)``."""
 
     out: str
     scale: str
@@ -785,9 +791,9 @@ def build_program_ir(config: KernelConfig) -> ProgramIR:
                 DynamicRescale("partials", "scale_factors_log",
                                "threshold"),
             ),
-            doc="Divide out the per-pattern maximum where it fell below "
-                "threshold;\nstore log factors (zero for comfortable "
-                "patterns).",
+            doc="Multiply each pattern by 2**-e, e = frexp(maximum), where "
+                "the\nmaximum fell below threshold; store the exponents e "
+                "(zero for\ncomfortable patterns).",
         ),
         KernelIR(
             name="kernelAccumulateFactorsScale",
@@ -799,7 +805,7 @@ def build_program_ir(config: KernelConfig) -> ProgramIR:
             space=serial_pattern,
             body=(AccumulateLogFactors("cumulative_log",
                                        "factor_buffers"),),
-            doc="cumulative += sum of log factor buffers "
+            doc="cumulative += sum of scale exponent buffers "
                 "({KW_THREAD_FENCE}).",
         ),
         KernelIR(

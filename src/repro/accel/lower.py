@@ -416,6 +416,9 @@ class Lowering:
             "",
             f"STATE_COUNT = {config.state_count}",
             f"REAL = np.{config.real_type}",
+            "# Scale buffers hold integer exponents e; log factor e * LN2.",
+            "LN2 = float(np.log(2.0))",
+            "MIN_SCALE_EXPONENT = 1 - np.finfo(REAL).maxexp",
             f"USES_FMA = {config.use_fma}",
             f"PATTERN_BLOCK_SIZE = {pattern_block}",
             "",
@@ -517,10 +520,13 @@ class Lowering:
         if isinstance(stmt, DynamicRescale):
             return [
                 f"    maxima = {stmt.partials}.max(axis=(0, 1))",
-                f"    needs = (maxima > 0.0) & (maxima < {stmt.threshold})",
-                "    safe = np.where(needs, maxima, 1.0)",
-                f"    {stmt.partials} /= safe",
-                f"    {stmt.scale_factors_log}[...] = np.log(safe)",
+                "    exponents = np.frexp(maxima)[1]",
+                f"    if {stmt.threshold} < np.inf:",
+                f"        exponents[~(maxima < {stmt.threshold})] = 0",
+                "    np.maximum(exponents, MIN_SCALE_EXPONENT, "
+                "out=exponents)",
+                f"    {stmt.partials} *= np.ldexp(REAL(1), -exponents)",
+                f"    {stmt.scale_factors_log}[...] = exponents",
             ]
         if isinstance(stmt, AccumulateLogFactors):
             return [
@@ -547,7 +553,7 @@ class Lowering:
                 f"    if {stmt.scale} is not None:",
                 "        # Scale factors are branch-length independent: an",
                 "        # additive constant on logL, zero on d1/d2.",
-                f"        log_site = log_site + {stmt.scale}",
+                f"        log_site = log_site + {stmt.scale} * LN2",
                 f"    {stmt.out_log_like}[...] = log_site",
                 f"    {stmt.out_d1}[...] = g1",
                 f"    {stmt.out_d2}[...] = g2",
@@ -558,7 +564,7 @@ class Lowering:
                 '    with np.errstate(divide="ignore"):',
                 "        log_site = np.log(site)",
                 f"    if {stmt.scale} is not None:",
-                f"        log_site = log_site + {stmt.scale}",
+                f"        log_site = log_site + {stmt.scale} * LN2",
                 f"    {stmt.out}[...] = log_site",
             ]
         raise LoweringError(

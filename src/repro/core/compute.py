@@ -45,6 +45,13 @@ def partials_flops(state_count: int) -> int:
     return state_count * (4 * state_count + 1)
 
 
+#: ``ln 2``.  Scale buffers hold the integer exponents
+#: :func:`rescale_partials` returns; a buffer's log scale factors are its
+#: exponents times ``LN2``, applied once where they enter a
+#: log-likelihood, so sums of exponents stay exact in any order.
+LN2 = float(np.log(2.0))
+
+
 def matrices_from_eigen(
     eigenvectors: np.ndarray,
     inverse_eigenvectors: np.ndarray,
@@ -216,28 +223,37 @@ def update_partials_ss(
 
 def rescale_partials(
     partials: np.ndarray,
-    epsilon: float = 0.0,
     threshold: float = np.inf,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Divide out the per-pattern maximum, in place, to prevent underflow.
+    """Scale each pattern by a power of two, in place, to prevent underflow.
 
-    Returns ``(partials, log_scale_factors)``: the first item is the
-    argument itself, now rescaled, and the factors have shape
-    ``(n_patterns,)``.  Patterns whose maximum is zero (an impossible
-    site) keep factor ``0`` so the zero propagates to the root, where the
-    log-likelihood correctly becomes ``-inf``.
+    Returns ``(partials, exponents)``: the first item is the argument
+    itself, now rescaled, and the second holds one integer exponent
+    ``e`` per pattern, shape ``(n_patterns,)``.  Pattern ``p`` is
+    multiplied by ``2**-e[p]`` with ``e = frexp(maximum)``, so its
+    maximum lands in ``[0.5, 1)`` and a pattern already there gets
+    ``e = 0``.  A power-of-two multiply does not round, so the rescaled
+    partials times ``2**e`` are exactly the input (unless a result is
+    subnormal), and the log factor of pattern ``p`` is ``e[p] * LN2``.
+
+    Patterns whose maximum is zero (an impossible site), infinite or NaN
+    keep ``e = 0``: ``frexp`` returns 0 for them, so the zero propagates
+    to the root, where the log-likelihood correctly becomes ``-inf``.
+    ``e`` is clamped so ``2**-e`` stays finite in the partials' dtype; a
+    subnormal maximum then comes out below ``0.5`` instead of as ``inf``.
 
     ``threshold`` implements *dynamic* scaling
     (``BEAGLE_FLAG_SCALING_DYNAMIC``): only patterns whose maximum has
-    fallen below it are rescaled; comfortable patterns keep factor one
-    (log factor zero), saving the division and keeping the accumulation
-    semantics unchanged.  The default (infinity) rescales every pattern.
+    fallen below it are rescaled; comfortable patterns keep ``e = 0``.
+    The default (infinity) rescales every pattern.
     """
     maxima = partials.max(axis=(0, 1))  # (p,)
-    needs = (maxima > epsilon) & (maxima < threshold)
-    safe = np.where(needs, maxima, 1.0)
-    partials /= safe
-    return partials, np.log(safe)
+    exponents = np.frexp(maxima)[1]
+    if threshold < np.inf:
+        exponents[~(maxima < threshold)] = 0
+    np.maximum(exponents, 1 - np.finfo(partials.dtype).maxexp, out=exponents)
+    partials *= np.ldexp(partials.dtype.type(1), -exponents)
+    return partials, exponents
 
 
 def _site_sums(

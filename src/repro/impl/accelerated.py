@@ -114,6 +114,7 @@ class AcceleratedImplementation(BaseImplementation):
             self.dtype,
         )
         self._d_tip_states: Dict[int, object] = {}
+        # Integer scale exponents stored as float64, as on the host.
         self._d_scales = (
             interface.allocate_pool(
                 c.scale_buffer_count, (c.pattern_count,), np.float64
@@ -367,10 +368,10 @@ class AcceleratedImplementation(BaseImplementation):
         if op.read_scale != OP_NONE:
             # Rare path: re-apply previously stored factors on device.
             view = self.interface.view(dest)
-            factors = self.interface.view(
+            exponents = self.interface.view(
                 self.interface.slot(self._d_scales, op.read_scale)
             )
-            view *= np.exp(factors)
+            np.ldexp(view, exponents.astype(np.intc), out=view)
         if op.write_scale != OP_NONE:
             c = self.config
             scale_cost = KernelCost(
@@ -468,7 +469,7 @@ class AcceleratedImplementation(BaseImplementation):
         self._check_scale(index)
         return self.interface.download(
             self.interface.slot(self._d_scales, index)
-        )
+        ) * compute.LN2
 
     def calculate_root_log_likelihoods(
         self,
@@ -562,7 +563,7 @@ class AcceleratedImplementation(BaseImplementation):
         lengths,
         category_weights,
         state_frequencies,
-        cumulative_scale_log,
+        cumulative_scale,
     ) -> np.ndarray:
         """The whole gradient sweep as ONE fused device launch.
 
@@ -600,7 +601,7 @@ class AcceleratedImplementation(BaseImplementation):
                  self._dense_partials(child_indices[e]),
                  p_mats[e], d1_mats[e], d2_mats[e],
                  category_weights, state_frequencies,
-                 self._pattern_weights, cumulative_scale_log],
+                 self._pattern_weights, cumulative_scale],
             ))
         geom, block = self._partials_geometry()
         per_cost = gradient_kernel_cost(
@@ -622,7 +623,7 @@ class AcceleratedImplementation(BaseImplementation):
             out[e, 2] = float(np.dot(pw, site_d2[e]))
         return out
 
-    def _cumulative_scale_log(self, index: int) -> np.ndarray:
+    def _cumulative_scale(self, index: int) -> np.ndarray:
         if self._d_scales is None:
             raise BeagleError("instance created without scale buffers")
         return self.interface.view(

@@ -106,6 +106,7 @@ class BaseImplementation(abc.ABC):
             0: np.full(c.state_count, 1.0 / c.state_count)
         }
         self._pattern_weights = np.ones(c.pattern_count)
+        # Integer scale exponents stored as float64 (``rescale_partials``).
         self._scale_factors = np.zeros((max(c.scale_buffer_count, 0), c.pattern_count))
         self._site_log_likelihoods: Optional[np.ndarray] = None
 
@@ -651,7 +652,12 @@ class BaseImplementation(abc.ABC):
     def accumulate_scale_factors(
         self, scale_indices: Sequence[int], cumulative_index: int
     ) -> None:
-        """Sum log scale factors of ``scale_indices`` into the cumulative buffer."""
+        """Sum the scale exponents of ``scale_indices`` into the cumulative
+        buffer.
+
+        The buffers hold integer exponents, so the float64 sum is exact
+        and does not depend on the order of ``scale_indices``.
+        """
         self._check_scale(cumulative_index)
         total = np.zeros(self.config.pattern_count)
         for idx in scale_indices:
@@ -670,7 +676,7 @@ class BaseImplementation(abc.ABC):
     def get_scale_factors(self, index: int) -> np.ndarray:
         """Log-domain scale factors for one buffer (``SCALERS_LOG``)."""
         self._check_scale(index)
-        return np.array(self._scale_factors[index])
+        return self._scale_log(index)
 
     def calculate_root_log_likelihoods(
         self,
@@ -685,7 +691,7 @@ class BaseImplementation(abc.ABC):
         scale = None
         if cumulative_scale_index != OP_NONE:
             self._check_scale(cumulative_scale_index)
-            scale = self._scale_factors[cumulative_scale_index]
+            scale = self._scale_log(cumulative_scale_index)
         logl, per_pattern = self._compute_root(
             self._partials[buffer_index],
             self._category_weights[category_weights_index],
@@ -710,7 +716,7 @@ class BaseImplementation(abc.ABC):
         scale = None
         if cumulative_scale_index != OP_NONE:
             self._check_scale(cumulative_scale_index)
-            scale = self._scale_factors[cumulative_scale_index]
+            scale = self._scale_log(cumulative_scale_index)
         parent = self._dense_partials(parent_index)
         child = self._dense_partials(child_index)
         logl, per_pattern = compute.edge_log_likelihood(
@@ -766,7 +772,7 @@ class BaseImplementation(abc.ABC):
             logl += float(
                 np.dot(
                     self._pattern_weights,
-                    self._scale_factors[cumulative_scale_index],
+                    self._scale_log(cumulative_scale_index),
                 )
             )
         return logl, d1, d2
@@ -816,7 +822,7 @@ class BaseImplementation(abc.ABC):
         scale = None
         if cumulative_scale_index != OP_NONE:
             self._check_scale(cumulative_scale_index)
-            scale = self._cumulative_scale_log(cumulative_scale_index)
+            scale = self._cumulative_scale(cumulative_scale_index)
         if lengths.size == 0:
             return np.zeros((0, 3))
         weights = self._category_weights[category_weights_index]
@@ -850,9 +856,12 @@ class BaseImplementation(abc.ABC):
         lengths: np.ndarray,
         category_weights: np.ndarray,
         state_frequencies: np.ndarray,
-        cumulative_scale_log: Optional[np.ndarray],
+        cumulative_scale: Optional[np.ndarray],
     ) -> np.ndarray:
-        """Gradient batch hook; accelerated backends fuse this launch."""
+        """Gradient batch hook; accelerated backends fuse this launch.
+
+        ``cumulative_scale`` holds scale exponents, not log factors.
+        """
         v, v_inv, lam = eigen
         rates = self._category_rates
         p_mats = compute.matrices_from_eigen(
@@ -865,9 +874,9 @@ class BaseImplementation(abc.ABC):
             v, v_inv, lam, lengths, rates, 2, self.dtype
         )
         scale_term = 0.0
-        if cumulative_scale_log is not None:
+        if cumulative_scale is not None:
             scale_term = float(
-                np.dot(self._pattern_weights, cumulative_scale_log)
+                np.dot(self._pattern_weights, cumulative_scale * compute.LN2)
             )
         out = np.empty((lengths.size, 3))
         for e in range(lengths.size):
@@ -891,14 +900,19 @@ class BaseImplementation(abc.ABC):
 
     # -- helpers ---------------------------------------------------------------
 
-    def _cumulative_scale_log(self, index: int) -> np.ndarray:
-        """The live log scale factors for one (validated) scale buffer.
+    def _cumulative_scale(self, index: int) -> np.ndarray:
+        """The live scale exponents of one (validated) scale buffer.
 
         Accelerated backends override to read the device copy — the host
         mirror in ``_scale_factors`` is not kept coherent with
         device-side dynamic rescaling.
         """
         return self._scale_factors[index]
+
+    def _scale_log(self, index: int) -> np.ndarray:
+        """Log scale factors of one (validated) scale buffer: its
+        integer exponents times ``ln 2``."""
+        return self._cumulative_scale(index) * compute.LN2
 
     def _dense_partials(self, index: int) -> np.ndarray:
         """View any buffer as dense ``(c, s, p)`` partials.
@@ -929,16 +943,22 @@ class BaseImplementation(abc.ABC):
         destination, in place.
 
         Factors are per pattern, so scaling slices separately is
-        bit-identical to scaling the whole axis at once.
+        bit-identical to scaling the whole axis at once.  Both directions
+        are exact power-of-two multiplies: ``read_scale`` multiplies by
+        ``2**e`` and ``write_scale`` stores the exponents ``e`` of
+        :func:`~repro.core.compute.rescale_partials`.
         """
         dest = self._partials[op.destination][:, :, sl]
         if op.read_scale != OP_NONE:
-            dest *= np.exp(self._scale_factors[op.read_scale, sl])
+            np.ldexp(
+                dest, self._scale_factors[op.read_scale, sl].astype(np.intc),
+                out=dest,
+            )
         if op.write_scale != OP_NONE:
-            _, log_factors = compute.rescale_partials(
+            _, exponents = compute.rescale_partials(
                 dest, threshold=self._scaling_threshold
             )
-            self._scale_factors[op.write_scale, sl] = log_factors
+            self._scale_factors[op.write_scale, sl] = exponents
 
     # -- compute hooks (overridden per backend) --------------------------------
 

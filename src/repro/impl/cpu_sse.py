@@ -17,9 +17,10 @@ in the calibrated Table III model (:mod:`repro.accel.perfmodel`).
 
 Both backends share one execution path.  The pattern axis is cut into
 slices, and one wave runs every slice through every operation, each
-operation followed by the rescale of that slice only.  Rescaling divides
-by a per-pattern maximum, so slices never wait on each other and the
-result is bit-identical however the axis is cut.  cpu-sse runs its one
+operation followed by the rescale of that slice only.  Rescaling
+multiplies each pattern by a power of two taken from its own maximum, so
+slices never wait on each other and the result is bit-identical however
+the axis is cut.  cpu-sse runs its one
 slice inline; the thread-pool backend hands one slice to each thread.
 """
 

@@ -3,7 +3,9 @@
 Device partials pools use the host's ``(category, state, pattern)``
 layout and the lowered ``gpu`` and ``cpu`` kernels run the host's array
 forms, so cuda-sim and cpu-vector give cpu-sse's bits: compared with
-``np.array_equal``, not a tolerance.  The second half pins the
+``np.array_equal``, not a tolerance.  Under rescaling (always and
+dynamic, eager and deferred) the thread pool joins that set, and the
+scale exponents agree too.  The second half pins the
 one-operation-per-node pre-order pass of :mod:`repro.core.upper` to the
 two-operation ``tmp``/``W`` list it replaced.
 """
@@ -17,16 +19,16 @@ from repro.core.instance import BeagleInstance
 from repro.core.types import InstanceConfig, Operation
 from repro.model import GY94, HKY85, SiteModel
 from repro.seq import compress_patterns, simulate_alignment
-from repro.tree import yule_tree
+from repro.tree import balanced_tree, yule_tree
 
 DEVICE_BACKENDS = ("cuda", "cpu-vector")
 
 
-def _hky_data():
-    tree = yule_tree(9, rng=510)
+def _hky_data(n_tips=9, n_sites=300):
+    tree = yule_tree(n_tips, rng=510)
     model = HKY85(2.5, [0.3, 0.2, 0.2, 0.3])
     site = SiteModel.gamma(0.5, 4)
-    aln = simulate_alignment(tree, model, 300, site, rng=511)
+    aln = simulate_alignment(tree, model, n_sites, site, rng=511)
     # Gaps and ambiguity codes: the gather's all-ones column for
     # compact tips, partial ambiguity for dense ones.
     for row, col, code in ((0, 0, "-"), (1, 5, "N"), (2, 9, "R"),
@@ -72,6 +74,77 @@ def test_device_backends_match_cpu_sse_bit_for_bit(
     assert np.array_equal(got[2], want[2])
     # Column 0 is the root reduction's value on every row.
     assert np.all(got[2][:, 0] == got[0])
+
+
+def _evaluate_scaled(backend, data, precision, use_scaling, deferred):
+    tree, data, model, site = data
+    kwargs = backend_flags(backend)
+    if backend == "cpp-threads":
+        kwargs["thread_count"] = 2
+    with TreeLikelihood(
+        tree.copy(), data, model, site, precision=precision,
+        use_scaling=use_scaling, deferred=deferred, **kwargs,
+    ) as tl:
+        logl = tl.log_likelihood()
+        sites = tl.site_log_likelihoods()
+        scale = tl.instance.impl.get_scale_factors(tl._cumulative_scale)
+    return logl, sites, scale
+
+
+@pytest.fixture(scope="module")
+def scaled_hky():
+    """HKY+G4 with gap and ambiguous tips, deep enough to rescale and
+    wide enough (over 512 patterns) that the thread pool cuts slices."""
+    data = _hky_data(n_tips=24, n_sites=1200)
+    assert data[1].n_patterns > 512
+    return data
+
+
+# cpu-serial is left out: its per-pattern root sum already differed
+# from cpu-sse's in the last bits before rescaling changed; it keeps
+# the cross-backend tolerance of tests/test_implementations.py.
+@pytest.mark.parametrize("deferred", [False, True])
+@pytest.mark.parametrize("use_scaling", ["always", "dynamic"])
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("backend", ("cpp-threads",) + DEVICE_BACKENDS)
+def test_scaled_backends_match_cpu_sse_bit_for_bit(
+    scaled_hky, backend, precision, use_scaling, deferred
+):
+    args = (scaled_hky, precision, use_scaling, deferred)
+    want = _evaluate_scaled("cpu-sse", *args)
+    got = _evaluate_scaled(backend, *args)
+    assert np.isfinite(want[0])
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[2], want[2])
+    # Dynamic mode's double-precision threshold (1e-200) is out of
+    # reach at 24 tips; everywhere else some pattern is rescaled.
+    if use_scaling == "always" or precision == "single":
+        assert np.any(want[2] != 0.0)
+
+
+@pytest.mark.parametrize("backend", DEVICE_BACKENDS)
+def test_scaled_edge_derivatives_read_the_device_scale(backend):
+    """The edge-derivative path adds the cumulative scale term from the
+    device's scale buffer, not from the unused host mirror."""
+    tree = balanced_tree(32, rng=530)
+    model = HKY85(2.0, [0.3, 0.2, 0.2, 0.3])
+    site = SiteModel.gamma(0.5, 4)
+    data = compress_patterns(
+        simulate_alignment(tree, model, 200, site, rng=531)
+    )
+    got, want = (
+        _root_edge_derivatives(b, tree, data, model, site)
+        for b in (backend, "cpu-sse")
+    )
+    assert got == want
+
+
+def _root_edge_derivatives(backend, tree, data, model, site):
+    with TreeLikelihood(tree.copy(), data, model, site, use_scaling=True,
+                        **backend_flags(backend)) as tl:
+        tl.log_likelihood()
+        return tl.root_edge_derivatives()
 
 
 def _two_op_preorder(tree, w_base, tmp_base, ones, identity):

@@ -554,6 +554,114 @@ unchanged.  cpu-sse's one-slice path does the same work per call as
 before: the pool, its root split and `finalize` moved into the shared
 class, and cpu-sse never creates a pool.
 
+## Power-of-two rescaling
+
+Parent: `rescale_partials` and the `DynamicRescale` emitter divide each
+pattern by its maximum and store `log(maximum)`.  Change: they multiply
+by `2**-e`, `e = frexp(maximum)`, and store `e` (DESIGN choice 23).
+`python3 perfbench/run.py --workload <w> --seconds 12`, untraced, on a
+2-vCPU host (Python 3.11.7, NumPy 2.4.6).  Median [quartiles]; "wins"
+counts pairs where the change reads better.  The claim is eval
+`mean_ms.a`, the cpu-sse `full` op, which rescales after every one of
+its 63 operations.
+
+Eval, seeds 1–12, the side that ran first alternating every pair
+(seeds 1–8 ran before the last refactor, which only moved the
+`e * ln 2` multiply of the host paths into one helper):
+
+| metric | parent | change | wins |
+|---|---:|---:|---:|
+| `mean_ms.a` (full, cpu-sse) | 15.80 [15.60, 15.89] | 14.07 [13.79, 14.21] | 12/12 |
+| `mean_ms.b` (codon) | 20.32 [20.09, 20.72] | 20.27 [20.12, 20.68] | 5/12 |
+| `mean_ms.c` (grad) | 21.50 [21.17, 22.03] | 21.93 [21.59, 22.04] | 4/12 |
+| `rate_per_s` | 51.13 [50.09, 52.38] | 53.04 [51.49, 53.43] | 9/12 |
+| `tail_ratio.a` / `.b` / `.c` | 1.058 / 1.059 / 1.089 | 1.056 / 1.063 / 1.054 | 5, 5, 7 |
+| `setup_s` | 0.162 [0.158, 0.163] | 0.159 [0.157, 0.160] | 7/12 |
+| `peak_rss_mb` | 204.4 | 204.1 | 9/12 |
+
+`mean_ms.a` fell by 1.73 ms (−10.9%), 5.9 times the parent's
+interquartile range (0.29 ms).  A second set, seeds 1–10 with the
+parent always first, gave `mean_ms.a` 15.16 [14.88, 15.56] → 13.26
+[13.03, 13.35] ms (10/10) and `mean_ms.b` / `.c` 20.11 / 21.68 →
+19.40 / 20.69 ms.  `check.inexact_frac` read 0.0 on seeds 1–10 on both
+sides, `ok_frac` was 1.0 on every run, and every run passed its
+checks.  The codon and grad ops run no rescale; their medians moved
+by 1–5% in opposite directions between the two sets.
+
+Per layer, traced (`--trace 1`), seeds 1–5, parent first, raw host ms:
+
+| layer | parent | change | wins |
+|---|---:|---:|---:|
+| `partials.update_ms` | 11.14 [10.96, 11.19] | 9.51 [9.27, 9.56] | 5/5 |
+| `partials.gflops` | 3.83 | 4.46 | 5/5 |
+| `scale.accumulate_ms` | 0.203 [0.200, 0.212] | 0.215 [0.202, 0.215] | 3/5 |
+| `root.reduce_ms` | 0.104 | 0.112 | 1/5 |
+| `accel.sim_ms` | 3.118502701829805 | 3.118502701829805 | |
+| `accel.launches` | 69.0 | 69.0 | |
+
+`root.reduce_ms` pays for the one `e * ln 2` multiply per root call.
+`accel.sim_ms` is the same number on all ten runs, and the
+simulated-clock records of `bench_gradients.py` and
+`bench_plan_batching.py` are equal field for field apart from their
+timestamps; `ProgramIR.signature()` is unchanged for every state
+count, precision, variant and FMA setting.
+
+Other workloads (none of them rescales; the code they run is
+unchanged):
+
+| workload | metric | parent | change | wins |
+|---|---|---:|---:|---:|
+| mcmc | `rate_per_s` | 162.8 [161.7, 165.0] | 164.8 [162.3, 166.7] | 3/5 |
+| mcmc | `mean_ms.a` / `.b` / `.c` | 2.155 / 12.74 / 14.29 | 2.159 / 12.67 / 13.99 | 4, 3, 4 |
+| mcmc | `tail_ratio.a` / `.b` / `.c` | 1.356 / 1.144 / 1.087 | 1.334 / 1.124 / 1.153 | 3, 2, 2 |
+| split | `rate_per_s` | 29.63 [28.55, 30.54] | 29.32 [28.44, 30.03] | 5/8 |
+| split | `mean_ms.a` / `.b` / `.c` | 23.57 / 22.18 / 57.03 | 23.70 / 22.50 / 57.51 | 4, 5, 4 |
+| split | `tail_ratio.a` / `.b` / `.c` | 1.132 / 1.145 / 1.105 | 1.141 / 1.219 / 1.129 | 1, 2, 2 |
+| serve | `mean_ms.a` / `.b` / `.c` | 6.84 / 6.85 / 15.47 | 5.16 / 5.26 / 12.11 | 5, 5, 5 |
+| serve | `tail_ratio.a` / `.b` / `.c` | 1.165 / 1.141 / 1.164 | 1.145 / 1.146 / 1.172 | 5, 3, 2 |
+
+mcmc ran seeds 1–5 with the parent first; split (seeds 1–3, 6–10) and
+serve (seeds 1, 6–10) alternated the side that ran first.  A first
+split set of five pairs with the parent always first read `rate_per_s`
+30.08 → 27.58 (0/5) and `mean_ms.a` +8.4%; alternating the order
+removed it, so the order, not the code, made that difference.  serve's
+means moved by about +10% in a first, parent-first set of five pairs
+and by about −23% in the alternating set above, on code serve does not
+execute, so serve's means are unresolved at this spread rather than
+changed.  `peak_rss_mb` and `setup_s` stayed within 2% on every
+workload.
+
+**The crossover of item 10, with rescaling on.**  The table in "Table
+III on wall clock" timed unscaled passes.  Here one scaled
+`update_partials` pass (`plan_traversal(tree, use_scaling=True)`, one
+scale buffer per internal node) over the same input: a 64-tip
+balanced tree, HKY+Γ4, compact tip states, random unique patterns,
+single precision, the pool with 2 threads.  A sample is the median of
+3 calls after one warm-up; 11 rounds, each round one process per
+commit, alternating which ran first and the design order.  Median ms
+[quartiles]:
+
+| patterns | commit | cpu-sse | thread-pool | pool beat cpu-sse |
+|---:|---|---:|---:|---:|
+| 4,000 | parent | 9.95 [9.88, 12.69] | 19.14 [17.29, 21.30] | 0/11 |
+| 4,000 | change | 9.46 [9.37, 9.67] | 18.66 [16.77, 20.00] | 0/11 |
+| 6,000 | parent | 15.58 [14.68, 20.91] | 20.14 [18.59, 21.95] | 2/11 |
+| 6,000 | change | 16.71 [13.53, 19.95] | 19.04 [17.13, 20.91] | 1/11 |
+| 12,000 | parent | 34.24 [29.88, 43.91] | 31.52 [30.24, 32.99] | 9/11 |
+| 12,000 | change | 29.20 [28.06, 34.77] | 29.52 [25.12, 32.55] | 8/11 |
+
+The change made cpu-sse's scaled pass faster in 10 of 11 rounds at
+4,000 and at 12,000 patterns (7 of 11 at 6,000), and the pool's in 8
+of 11 at 4,000 and 12,000.  With rescaling on, the pool starts to win
+between 6,000 and 12,000 patterns at 64 tips, later than the 4,000 to
+6,000 of the unscaled table, on both commits.  The pool pays most
+for rescaling: at 4,000 patterns its scaled median is about 6 ms above
+the unscaled table's, cpu-sse's about 1.5 ms.  Each slice task runs
+its own rescale, several NumPy calls per operation under the
+interpreter lock, which likely makes this part of item 10's Python
+overhead; power-of-two factors shorten those calls but do not remove
+them.
+
 ## Regenerated tables
 
 Regenerate at any time with `pybeagle-experiments` or

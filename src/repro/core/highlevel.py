@@ -475,15 +475,18 @@ class TreeLikelihood:
             # unchanged).
             if self._stored is not None:
                 self._cumulative_slot = 1 - self._stored[2]
-            self.instance.reset_scale_factors(self._cumulative_scale)
-            self.instance.accumulate_scale_factors(
-                [self._scale_buffers[self._partials_slot[v]][v]
-                 for v in self._internal_nodes],
-                self._cumulative_scale,
-            )
+            self._accumulate_scales(self._internal_nodes)
         self._sites_current = True
         return self.instance.calculate_root_log_likelihoods(
             self.partials_index(plan.root_index), 0, 0,
+            self._cumulative_scale,
+        )
+
+    def _accumulate_scales(self, nodes: Sequence[int]) -> None:
+        """Sum *nodes*' current scale factors into the cumulative buffer."""
+        self.instance.reset_scale_factors(self._cumulative_scale)
+        self.instance.accumulate_scale_factors(
+            [self._scale_buffers[self._partials_slot[v]][v] for v in nodes],
             self._cumulative_scale,
         )
 
@@ -563,12 +566,19 @@ class TreeLikelihood:
             raise ValueError("edge length must be non-negative")
         d1_idx, d2_idx = self.derivative_matrix_indices
         scratch = self.writable_matrix_index(left.index)  # P(t_total)
+        root = self.tree.root.index
         try:
             self.instance.update_transition_matrices(
                 0, [scratch], [total_length],
                 first_derivative_indices=[d1_idx],
                 second_derivative_indices=[d2_idx],
             )
+            if self.use_scaling:
+                # The edge joins the root's children, so the root's own
+                # factors are not in what it multiplies.
+                self._accumulate_scales(
+                    [v for v in self._internal_nodes if v != root]
+                )
             return self.instance.calculate_edge_derivatives(
                 self.partials_index(right.index),
                 self.partials_index(left.index),
@@ -576,12 +586,16 @@ class TreeLikelihood:
                 cumulative_scale_index=self._cumulative_scale,
             )
         finally:
-            # Restore left's true matrix on every exit — an exception
-            # mid-derivative must not leave P(t_total) in left's slot,
-            # or every subsequent likelihood silently uses it.
+            # Restore left's true matrix and the full scale sum on every
+            # exit — an exception mid-derivative must not leave
+            # P(t_total) in left's slot, or every subsequent likelihood
+            # silently uses it, nor a sum without the root's factors,
+            # which a re-reduction of the root would read.
             self.instance.update_transition_matrices(
                 0, [scratch], [left.branch_length]
             )
+            if self.use_scaling:
+                self._accumulate_scales(self._internal_nodes)
 
     def branch_gradient(
         self,

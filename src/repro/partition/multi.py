@@ -25,7 +25,6 @@ from repro.core.highlevel import TreeLikelihood
 from repro.partition.spec import Partition, validate_partitions
 from repro.seq.alignment import Alignment
 from repro.seq.patterns import PatternSet
-from repro.seq.simulate import SyntheticPatterns
 from repro.tree.tree import Tree
 
 
@@ -146,33 +145,11 @@ def split_pattern_set(
     :func:`split_bounds`), so any positive normalised proportion vector
     with at most ``n_patterns`` entries is valid.  Accepts either a
     compressed :class:`~repro.seq.patterns.PatternSet` or the
-    :class:`~repro.seq.simulate.SyntheticPatterns` benchmark data.
+    :class:`~repro.seq.simulate.SyntheticPatterns` benchmark data; each
+    chunk's tips and weights are views of *data*'s (``chunk``).
     """
     bounds = split_bounds(data.n_patterns, proportions)
-    chunks = []
-    for i in range(len(bounds) - 1):
-        lo, hi = bounds[i], bounds[i + 1]
-        if isinstance(data, SyntheticPatterns):
-            chunks.append(
-                SyntheticPatterns(
-                    tip_states=data.tip_states[:, lo:hi],
-                    weights=data.weights[lo:hi],
-                    state_count=data.state_count,
-                )
-            )
-            continue
-        aln = data.alignment
-        chunks.append(
-            PatternSet(
-                alignment=Alignment(
-                    aln.names, [row[lo:hi] for row in aln.rows],
-                    aln.state_space,
-                ),
-                weights=data.weights[lo:hi],
-                site_to_pattern=np.arange(hi - lo),
-            )
-        )
-    return chunks
+    return [data.chunk(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 class MultiDeviceLikelihood:
@@ -217,6 +194,9 @@ class MultiDeviceLikelihood:
         self.chunks: List[PatternSet] = []
         self._spans: List[Tuple[int, int]] = []
         self.proportions: List[float] = []
+        #: Per quarantined label, every active device's share just before
+        #: that label was dropped: the calibrated split to readmit at.
+        self._pre_loss: Dict[str, Dict[str, float]] = {}
         self._reconfigure(labels, proportions)
 
     def _build_component(self, label: str, chunk: PatternSet):
@@ -257,7 +237,6 @@ class MultiDeviceLikelihood:
         bounds = split_bounds(self.data.n_patterns, proportions)
         if len(bounds) - 1 != len(labels):
             raise ValueError("one proportion per active device")
-        chunks = split_pattern_set(self.data, proportions)
         old = {
             label: (component, chunk, span)
             for label, component, chunk, span in zip(
@@ -278,10 +257,11 @@ class MultiDeviceLikelihood:
                     new_components.append(prev[0])
                     new_chunks.append(prev[1])
                     continue
-                component = self._build_component(label, chunks[i])
+                chunk = self.data.chunk(*spans[i])
+                component = self._build_component(label, chunk)
                 built_fresh.append(component)
                 new_components.append(component)
-                new_chunks.append(chunks[i])
+                new_chunks.append(chunk)
                 rebuilt.append(label)
         except BaseException:
             for component in built_fresh:
@@ -345,18 +325,22 @@ class MultiDeviceLikelihood:
 
         The default split renormalises the survivors' current shares,
         so a balanced pair degrades to the single survivor holding every
-        pattern.  Returns the labels whose instances were rebuilt.
+        pattern.  The shares before the loss are remembered for
+        :meth:`readmit_device`.  Returns the labels whose instances were
+        rebuilt.
         """
         if label not in self.labels:
             raise ValueError(f"{label!r} is not an active device")
         if len(self.labels) == 1:
             raise ValueError("cannot drop the last remaining device")
         survivors = [lab for lab in self.labels if lab != label]
+        shares = dict(zip(self.labels, self.proportions))
         if proportions is None:
-            shares = dict(zip(self.labels, self.proportions))
             total = sum(shares[lab] for lab in survivors)
             proportions = [shares[lab] / total for lab in survivors]
-        return self._reconfigure(survivors, proportions)
+        rebuilt = self._reconfigure(survivors, proportions)
+        self._pre_loss[label] = shares
+        return rebuilt
 
     def readmit_device(
         self, label: str, proportions: Optional[Sequence[float]] = None
@@ -365,11 +349,14 @@ class MultiDeviceLikelihood:
 
         The active set returns to the original ``device_requests``
         order, so a drop/readmit cycle restores the original component
-        ordering (and therefore the summation order).  The shares are
-        not restored: unless *proportions* is given, every active
-        device gets a uniform share, so the pattern boundaries — and
-        with them the summed value's last bits — can differ from the
-        configuration before the drop.
+        ordering (and therefore the summation order).  Unless
+        *proportions* is given, every active device gets its share from
+        just before *label* was dropped, renormalised over the active
+        set; a drop/readmit cycle with no resplit in between therefore
+        restores the pre-loss chunk bounds, and the summed value is
+        bit-identical to the value before the loss.  Uniform shares are
+        the fallback only when those calibrated shares are not known
+        for every active device.
         """
         if label in self.labels:
             raise ValueError(f"{label!r} is already active")
@@ -377,9 +364,15 @@ class MultiDeviceLikelihood:
             raise ValueError(f"unknown device label {label!r}")
         active = set(self.labels) | {label}
         labels = [lab for lab in self.device_requests if lab in active]
-        if proportions is None:
+        calibrated = self._pre_loss.get(label, {})
+        if proportions is None and all(lab in calibrated for lab in labels):
+            total = sum(calibrated[lab] for lab in labels)
+            proportions = [calibrated[lab] / total for lab in labels]
+        elif proportions is None:
             proportions = [1.0 / len(labels)] * len(labels)
-        return self._reconfigure(labels, proportions)
+        rebuilt = self._reconfigure(labels, proportions)
+        self._pre_loss.pop(label, None)
+        return rebuilt
 
     def instrument(self, tracer=None, metrics=None):
         """Attach one shared tracer + metrics registry to every component.

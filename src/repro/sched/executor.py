@@ -15,12 +15,23 @@ Two cooperating pieces:
 * :class:`RebalancingExecutor` adds the paper conclusion's dynamic load
   balancing for pattern-split workloads: the perf model provides the
   *prior* split (:func:`repro.partition.autoselect.balance_proportions`),
-  every evaluation then measures actual per-device time (simulated device
-  seconds where the backend models them, wall time otherwise), folds it
+  every full evaluation then measures actual per-device time, folds it
   into an EWMA throughput estimate, and — when the predicted imbalance
   exceeds a threshold — recomputes the proportions, re-splits the
   pattern set, and rebuilds the affected instances via
   :meth:`repro.partition.multi.MultiDeviceLikelihood.resplit`.
+  Incremental updates neither feed the estimate nor trigger a
+  rebalance: a path update's cost per pattern says nothing about a
+  device's throughput.
+
+Each evaluation is timed on one clock
+(:func:`~repro.sched.failover.one_clock`): simulated device seconds
+only when every component models a device clock, wall seconds
+otherwise.  The rate table,
+:meth:`ConcurrentExecutor.critical_path_s`, a failover's ``wasted_s`` and
+the ``executor.component_s*`` metrics all read that one choice, so a
+host backend's wall seconds are never weighed against a simulated
+device's modelled ones.
 
 With a :class:`~repro.resil.RetryPolicy` attached, the executor also
 survives device failure (the resilience layer, :mod:`repro.resil`).
@@ -66,6 +77,7 @@ from repro.sched.failover import (
     QuarantineTable,
     RateTable,
     call_with_retries,
+    one_clock,
     run_failover_rounds,
     timed_call,
 )
@@ -410,19 +422,18 @@ class ConcurrentExecutor:
         def quarantine(label: str, exc: BaseException) -> None:
             # The survivors' completed shard evaluations from this
             # round are discarded — that is the recovery's overhead.
-            wasted = sum(
-                timing.measured_s
-                for _, _, _, timing, _ in outcomes
+            wasted = sum(t.measured_s for t in one_clock([
+                timing for _, _, _, timing, _ in outcomes
                 if timing is not None
-            )
+            ]))
             self._failover(label, exc, wasted)
 
         run_failover_rounds(
             policy, len(self.likelihood.components), run_round, quarantine
         )
-        self._last_timings = [
+        self._last_timings = one_clock([
             timing for _, _, _, timing, _ in outcomes if timing is not None
-        ]
+        ])
         self._evaluations += 1
         wall = time.perf_counter() - t0
         metrics = self._metrics
@@ -656,6 +667,10 @@ class RebalancingExecutor(ConcurrentExecutor):
 
     def _evaluate(self, method: str, *args: Any) -> float:
         value = super()._evaluate(method, *args)
-        self._update_rates()
-        self._maybe_rebalance()
+        # Only a full traversal measures throughput: an incremental
+        # update recomputes one path, at a cost per pattern far below a
+        # full evaluation's, and would skew the split it fed.
+        if method == "log_likelihood":
+            self._update_rates()
+            self._maybe_rebalance()
         return value

@@ -2,17 +2,17 @@
 
 The executor, the cluster and the likelihood server react to device
 failure under one :class:`~repro.resil.RetryPolicy`; this module is its
-one implementation (DESIGN choice 19): a timed component call, bounded
-transient retry with clock-charged backoff, an EWMA rate table, a
-quarantine table with probing and ordered readmission, and the
-failover-round loop.  Callers keep their own spans, events and metrics,
-reported through callbacks.
+one implementation (DESIGN choice 19): a timed component call put on
+one clock per evaluation, bounded transient retry with clock-charged
+backoff, an EWMA rate table, a quarantine table with probing and ordered
+readmission, and the failover-round loop.  Callers keep their own spans,
+events and metrics, reported through callbacks.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -39,6 +39,7 @@ __all__ = [
     "call_with_retries",
     "device_clock",
     "failover_enabled",
+    "one_clock",
     "run_failover_rounds",
     "timed_call",
 ]
@@ -54,15 +55,20 @@ class ComponentTiming:
     patterns: int
     wall_s: float
     #: Modelled device seconds, where the backend simulates a device
-    #: clock (accelerated implementations); ``None`` on host backends.
+    #: clock (accelerated implementations); ``None`` on host backends,
+    #: and on every component of an evaluation put on the wall clock
+    #: (:func:`one_clock`).
     simulated_s: Optional[float]
 
     @property
     def measured_s(self) -> float:
-        """The time the rebalancer should trust for this component.
+        """This component's cost on the clock its timing carries.
 
-        Simulated device seconds when available (that *is* the device
-        model), wall-clock otherwise.
+        Simulated device seconds when the timing holds them (that *is*
+        the device model), wall-clock otherwise.  The executor passes an
+        evaluation's timings through :func:`one_clock` first, so every
+        ``measured_s`` of one evaluation, and every rate the rebalancer
+        compares, reads the same clock.
         """
         if self.simulated_s is not None and self.simulated_s > 0:
             return self.simulated_s
@@ -83,6 +89,19 @@ def timed_call(impl: Any, label: str, patterns: int,
     wall = time.perf_counter() - t0
     sim = None if sim0 is None else impl.simulated_time - sim0
     return value, ComponentTiming(label, patterns, wall, sim)
+
+
+def one_clock(timings: Sequence[ComponentTiming]) -> List[ComponentTiming]:
+    """*timings* on one clock: simulated seconds only when every
+    component reports a device clock, wall seconds otherwise.
+
+    Simulated and wall seconds do not compare: a rate table that mixed
+    them would size a split from a model's device against a host's
+    Python.  On the wall clock the simulated seconds are dropped.
+    """
+    if all(t.simulated_s is not None and t.simulated_s > 0 for t in timings):
+        return list(timings)
+    return [replace(t, simulated_s=None) for t in timings]
 
 
 def device_clock(impl: Any) -> Any:

@@ -119,6 +119,18 @@ class Alignment:
         rows = [self.sequence(n) for n in names]
         return Alignment(list(names), rows, self.state_space)
 
+    def site_range(self, lo: int, hi: int) -> "Alignment":
+        """Sites ``lo`` to ``hi`` (exclusive) as a new alignment.
+
+        The rows are sliced, not re-validated: every token was checked
+        when this alignment was built.
+        """
+        chunk = object.__new__(Alignment)
+        chunk.names = list(self.names)
+        chunk.rows = [row[lo:hi] for row in self.rows]
+        chunk.state_space = self.state_space
+        return chunk
+
     def sites(self, site_indices: Sequence[int]) -> "Alignment":
         """Column subset (e.g. one partition of a partitioned analysis)."""
         rows = [[row[i] for i in site_indices] for row in self.rows]

@@ -36,7 +36,8 @@ class PatternSet:
         ``(n_sequences, n_patterns)``; row *i* is ``alignment.names[i]``.
         Encoded once, at construction (see
         :meth:`Alignment.encode_states`), so every instance loaded from
-        this set gathers its tips from here instead of re-tokenising.
+        this set gathers its tips from here instead of re-tokenising;
+        a :meth:`chunk` holds a view of it.
     """
 
     alignment: Alignment
@@ -56,6 +57,24 @@ class PatternSet:
     @property
     def n_sites(self) -> int:
         return int(self.weights.sum())
+
+    def chunk(self, lo: int, hi: int) -> "PatternSet":
+        """Patterns ``lo`` to ``hi`` (exclusive) as their own set.
+
+        The chunk's ``tip_states`` and ``weights`` are views of this
+        set's, so nothing is encoded again; each chunk pattern is its own
+        site.  A multi-device split and the cluster's shards are built
+        from these.
+        """
+        chunk = object.__new__(PatternSet)
+        for name, value in (
+            ("alignment", self.alignment.site_range(lo, hi)),
+            ("weights", self.weights[lo:hi]),
+            ("site_to_pattern", np.arange(hi - lo)),
+            ("tip_states", self.tip_states[:, lo:hi]),
+        ):
+            object.__setattr__(chunk, name, value)
+        return chunk
 
 
 def compress_patterns(alignment: Alignment) -> PatternSet:

@@ -171,3 +171,12 @@ class SyntheticPatterns:
     @property
     def n_patterns(self) -> int:
         return self.tip_states.shape[1]
+
+    def chunk(self, lo: int, hi: int) -> "SyntheticPatterns":
+        """Patterns ``lo`` to ``hi`` (exclusive), as views of this set's
+        ``tip_states`` and ``weights``."""
+        return SyntheticPatterns(
+            tip_states=self.tip_states[:, lo:hi],
+            weights=self.weights[lo:hi],
+            state_count=self.state_count,
+        )

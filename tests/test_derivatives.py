@@ -8,8 +8,9 @@ from repro.core.types import InstanceConfig
 from repro.impl import AcceleratedImplementation, CPUSSEImplementation
 from repro.ml import optimize_root_edge_newton
 from repro.model import HKY85, SiteModel
+from repro.config import backend_flags
 from repro.seq import compress_patterns, simulate_alignment
-from repro.tree import yule_tree
+from repro.tree import balanced_tree, yule_tree
 
 
 def _internal_root_tree(seed=0, tips=8):
@@ -102,6 +103,30 @@ class TestRootEdgeDerivatives:
             root_ll = tl.log_likelihood()
             ll, _, _ = tl.root_edge_derivatives()
             assert np.isclose(ll, root_ll, rtol=1e-9)
+
+    @pytest.mark.parametrize("backend", ["cpu-sse", "cuda"])
+    def test_scaled_loglik_matches_root(self, backend):
+        """With scaling on, the edge's value leaves out the root
+        operation's own factors; it used to add them and read far below
+        ``log_likelihood()``."""
+        tree = balanced_tree(32)
+        model = HKY85(2.0)
+        sm = SiteModel.gamma(0.5, 4)
+        data = compress_patterns(
+            simulate_alignment(tree, model, 200, sm, rng=103)
+        )
+        with TreeLikelihood(
+            tree, data, model, sm, use_scaling=True, **backend_flags(backend)
+        ) as tl:
+            root_ll = tl.log_likelihood()
+            sites = tl.site_log_likelihoods()
+            ll, _, _ = tl.root_edge_derivatives()
+            assert np.isclose(ll, root_ll, rtol=1e-9)
+            # The full scale sum is back: the root re-reduces to the
+            # same per-site values.
+            tl.store()
+            tl.revert()
+            assert np.array_equal(tl.site_log_likelihoods(), sites)
 
     def test_tip_root_child_rejected(self):
         # Force a tree with a tip at the root.

@@ -32,6 +32,7 @@ from repro.sched import (
     ConcurrentExecutor,
     RebalancingExecutor,
 )
+from repro.sched.failover import one_clock
 from repro.seq import synthetic_pattern_set
 from repro.session import Session, backend_flags
 from repro.tree import balanced_tree, yule_tree
@@ -205,6 +206,14 @@ class TestComponentTiming:
         assert t.measured_s == 2.0
         assert t.rate == pytest.approx(50.0)
 
+    def test_one_clock_per_evaluation(self):
+        sim = ComponentTiming("gpu", 100, wall_s=2.0, simulated_s=0.5)
+        host = ComponentTiming("host", 100, wall_s=1.0, simulated_s=None)
+        assert one_clock([sim, sim]) == [sim, sim]
+        mixed = one_clock([host, sim])
+        assert [t.measured_s for t in mixed] == [1.0, 2.0]
+        assert all(t.simulated_s is None for t in mixed)
+
 
 # ---------------------------------------------------------------------------
 # Rebalancing
@@ -274,6 +283,53 @@ class TestRebalancing:
                     assert second[label] == pytest.approx(
                         0.5 * obs[label] + 0.5 * first[label]
                     )
+
+    def test_mixed_pair_rates_on_wall_clock(self, workload):
+        """A host backend next to a simulated device: the whole
+        evaluation is timed in wall seconds, the device's modelled
+        seconds are not weighed against the host's Python."""
+        with _multi(workload, ("cpu-sse", "cuda")) as mdl:
+            with RebalancingExecutor(mdl, threshold=1e9) as ex:
+                ex.log_likelihood()
+                timings = ex.timings()
+                assert mdl.components[1].instance.impl.simulated_time > 0
+                assert all(t.simulated_s is None for t in timings)
+                for t in timings:
+                    assert ex.rates[t.label] == t.patterns / t.wall_s
+                assert ex.critical_path_s() == max(t.wall_s for t in timings)
+
+    def test_simulated_pair_rates_on_simulated_clock(self, workload):
+        with _multi(workload, ("cuda", "cuda")) as mdl:
+            with RebalancingExecutor(mdl, threshold=1e9) as ex:
+                ex.log_likelihood()
+                timings = ex.timings()
+                for t in timings:
+                    assert t.simulated_s is not None and t.simulated_s > 0
+                    assert ex.rates[t.label] == t.patterns / t.simulated_s
+                assert ex.critical_path_s() == max(
+                    t.simulated_s for t in timings
+                )
+
+    @pytest.mark.parametrize(
+        "backends", [("cpu-sse", "cuda"), ("cuda", "cuda")],
+        ids=["mixed", "simulated"],
+    )
+    def test_incremental_updates_leave_rates_alone(self, workload, backends):
+        """Only a full traversal measures throughput: incremental
+        updates neither feed the rate table nor trigger a rebalance,
+        however low the threshold."""
+        tree, _, _, _ = workload
+        with _multi(workload, backends) as mdl:
+            with RebalancingExecutor(mdl, threshold=1e-9, alpha=1.0) as ex:
+                ex.log_likelihood()
+                rates, events = ex.rates, ex.rebalance_events()
+                proportions = list(mdl.proportions)
+                node = next(iter(tree.root.tips()))
+                for _ in range(4):
+                    ex.update_branch_lengths([node.index])
+                assert ex.rates == rates
+                assert ex.rebalance_events() == events
+                assert mdl.proportions == proportions
 
     def test_converges_to_perf_model_optimum(self):
         """Acceptance: two simulated devices at >= 4x speed ratio; the

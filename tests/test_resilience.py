@@ -339,6 +339,43 @@ class TestRetryFailover:
         assert metrics.counter("resil.readmissions").value == 1.0
         assert metrics.gauge("resil.quarantined").value == 0.0
 
+    def test_drop_readmit_restores_pre_loss_bounds(self, workload):
+        """Readmission returns to the calibrated shares from before the
+        loss, not to a uniform split: the chunk bounds come back exactly
+        and so does the value, bit for bit."""
+        with _multi(
+            workload, ("cuda", "cuda", "cuda"), proportions=[0.6, 0.3, 0.1]
+        ) as mdl:
+            before = mdl.log_likelihood()
+            bounds = mdl.device_report()
+            mdl.drop_device("dev2")
+            two = mdl.device_report()
+            mdl.drop_device("dev1")
+            assert [lab for lab, _, _ in mdl.device_report()] == ["dev0"]
+            mdl.readmit_device("dev1")
+            assert mdl.device_report() == two
+            mdl.readmit_device("dev2")
+            assert mdl.device_report() == bounds
+            assert mdl.log_likelihood() == before
+
+    def test_probe_readmits_at_calibrated_shares(self, workload):
+        plan = FaultPlan([
+            FaultEvent("device-loss", "dev1", at=1, duration=1)
+        ])
+        with _multi(workload, proportions=[0.8, 0.2]) as mdl:
+            healthy = mdl.log_likelihood()
+            bounds = mdl.device_report()
+            install_fault_plan(mdl, plan)
+            with ConcurrentExecutor(
+                mdl, retry_policy=RetryPolicy(max_attempts=1,
+                                              probe_interval=1),
+            ) as ex:
+                ex.log_likelihood()  # failover
+                assert sorted(ex.quarantined()) == ["dev1"]
+                assert ex.log_likelihood() == healthy  # probe readmits
+                assert ex.quarantined() == {}
+                assert mdl.device_report() == bounds
+
     def test_rebalancing_executor_survives_failover(self, workload):
         plan = FaultPlan([FaultEvent("device-loss", "dev2", at=1)])
         with _multi(workload, ("cuda", "cuda", "cuda")) as mdl:

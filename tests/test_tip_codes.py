@@ -15,8 +15,13 @@ from repro.model.statespace import (
     SENSE_CODONS,
     StateSpace,
 )
-from repro.partition import MultiDeviceLikelihood
-from repro.seq import Alignment, compress_patterns, simulate_alignment
+from repro.partition import MultiDeviceLikelihood, split_pattern_set
+from repro.seq import (
+    Alignment,
+    compress_patterns,
+    simulate_alignment,
+    synthetic_pattern_set,
+)
 from repro.tree import yule_tree
 
 
@@ -148,13 +153,37 @@ def test_resplit_does_not_retokenise(workload, monkeypatch):
     ) as md:
         before = md.log_likelihood()
         lookups = _count_calls(monkeypatch, "states_for")
+        encodes = []
+        encode = Alignment.encode_states
+        monkeypatch.setattr(
+            Alignment, "encode_states",
+            lambda self: encodes.append(self) or encode(self),
+        )
         assert md.resplit([0.3, 0.7]) == ["host", "gpu"]
-        assert lookups == []
+        assert lookups == [] and encodes == []
         for chunk, (lo, hi) in zip(md.chunks, md._spans):
             assert np.array_equal(
                 chunk.tip_states, data.tip_states[:, lo:hi]
             )
         assert md.log_likelihood() == pytest.approx(before, rel=1e-12)
+
+
+def test_chunks_are_views_of_the_parent_codes(workload):
+    """A split encodes nothing: every chunk's codes are a view of the
+    parent's, and equal what encoding the chunk's rows would give."""
+    data = workload[3]
+    synthetic = synthetic_pattern_set(8, 300, 4, rng=42)
+    for parent in (data, synthetic):
+        chunks = split_pattern_set(parent, [0.2, 0.5, 0.3])
+        assert sum(chunk.n_patterns for chunk in chunks) == parent.n_patterns
+        for chunk in chunks:
+            assert np.shares_memory(chunk.tip_states, parent.tip_states)
+            assert np.shares_memory(chunk.weights, parent.weights)
+    for chunk in split_pattern_set(data, [0.2, 0.5, 0.3]):
+        assert not chunk.tip_states.flags.writeable
+        assert np.array_equal(
+            chunk.tip_states, chunk.alignment.encode_states()
+        )
 
 
 @pytest.mark.parametrize("backend", ["cpu-sse", "cpu-serial", "cuda"])

@@ -662,6 +662,97 @@ interpreter lock, which likely makes this part of item 10's Python
 overhead; power-of-two factors shorten those calls but do not remove
 them.
 
+## Calm re-splits
+
+Parent: the split executor's rate table mixed cuda-sim's simulated
+seconds with cpu-sse's wall seconds, every evaluation fed it (the
+incremental updates too), a readmitted device came back at a uniform
+share, and every chunk of a split re-encoded its tips.  Change (DESIGN
+choice 19): one clock per evaluation (wall here, since the host has no
+device clock), rates and rebalances from full traversals only,
+readmission at the pre-loss shares, and chunks that are views of the
+parent's tips and weights.  `python3 perfbench/run.py --workload split
+--seconds 12`, untraced, on a 2-vCPU host (Python 3.11.7, NumPy
+2.4.6).  Median [quartiles]; "wins" counts pairs where the change
+reads better.  The claim is split `mean_ms.a`.
+
+Split, seeds 1–10, the side that ran first alternating every pair:
+
+| metric | parent | change | wins |
+|---|---:|---:|---:|
+| `mean_ms.a` (full) | 23.76 [23.38, 24.40] | 7.49 [7.09, 8.26] | 10/10 |
+| `mean_ms.b` (incr) | 20.18 [19.26, 22.13] | 2.53 [2.34, 2.74] | 10/10 |
+| `mean_ms.c` (recover) | 59.79 [58.15, 61.84] | 34.98 [33.19, 37.63] | 10/10 |
+| `rate_per_s` | 29.34 [28.36, 29.75] | 66.94 [60.40, 70.25] | 10/10 |
+| `tail_ratio.a` | 1.169 [1.133, 1.187] | 1.243 [1.205, 1.329] | 2/10 |
+| `tail_ratio.b` | 1.326 [1.291, 1.370] | 1.402 [1.364, 1.566] | 1/10 |
+| `tail_ratio.c` | 1.153 [1.127, 1.168] | 1.243 [1.205, 1.318] | 1/10 |
+| `setup_s` | 0.0552 [0.0518, 0.0565] | 0.0409 [0.0391, 0.0429] | 10/10 |
+| `peak_rss_mb` | 155.4 [154.2, 156.2] | 148.9 [148.7, 150.7] | 9/10 |
+
+`mean_ms.a` fell by 16.27 ms (−68.5%), 16 times the parent's
+interquartile range (1.02 ms).  `mismatches` was 0 and `ok_frac` 1.0
+on all 20 runs: every split value was bit-identical to the serial
+baseline.  The tails rose by 6–8% in the median, inside the 0.25
+bound; the change's own spread is wider (`tail_ratio.b` 1.30–1.77 over
+its ten runs, against 1.17–1.43 at the parent), with the four highest
+values on seeds 1–4.  A re-run of seeds 1–4, interleaved with the
+ablation runs below, read `tail_ratio.b` 1.23–1.47.
+
+Per layer, traced (`--trace 1`), seeds 1, 2, 3:
+
+| layer | parent | change |
+|---|---:|---:|
+| `split.rebalances` | 118 / 118 / 126 | 10 / 13 / 13 |
+| `split.resplit_ms` | 11.8 / 9.7 / 11.2 | 2.9 / 3.5 / 4.0 |
+| `split.fanout_ms` | 18.0 / 14.3 / 15.8 | 0.44 / 0.49 / 0.58 |
+| `split.wall_imbalance` | 0.25 / 0.18 / 0.19 | 0.15 / 0.14 / 0.17 |
+| `split.share.gpu` | 0.91 / 0.93 / 0.92 | 0.041 / 0.026 / 0.021 |
+| `split.failovers`, `split.readmits` | 43, 43 | 43, 43 |
+| `host.page_faults_per_op` | 70.6 / 70.1 / 66.6 | 72.9 / 93.5 / 94.4 |
+
+At the parent `split.fanout_ms` subtracted cuda-sim's simulated
+critical path from a wall-clock op; on one clock it reads the real
+fan-out cost.  `host.page_faults_per_op` rose: ops are three times
+shorter, while every recover op still rebuilds both instances.
+`split_pattern_set` into two chunks (0.7/0.3) at 32 taxa × 1,500
+patterns, best of 5 × 20 calls, three alternating rounds: 3.4–7.9 ms
+at the parent, 0.16–0.17 ms with chunk views.
+
+Ablation: all four changes but one, seeds 1–4, two runs each (one set
+run interleaved with four runs of the full change), median and range:
+
+| variant | `mean_ms.a` | `mean_ms.c` | `tail_ratio.a` | `tail_ratio.b` |
+|---|---:|---:|---:|---:|
+| all four (4 runs) | 7.51 (6.64–8.17) | 35.4 (31.8–37.6) | 1.19 (1.13–1.23) | 1.36 (1.23–1.47) |
+| without one clock | 8.26 (7.25–8.65) | 34.6 (33.1–38.4) | 1.40 (1.33–1.61) | 1.79 (1.71–2.12) |
+| without full-only rates | 7.67 (6.91–9.26) | 34.1 (31.3–38.4) | 1.31 (1.17–1.70) | 2.32 (1.87–2.50) |
+| without pre-loss readmission | 9.45 (8.85–10.84) | 46.0 (44.0–49.3) | 1.45 (1.09–1.60) | 1.82 (1.44–2.10) |
+
+Traced seed 1: without one clock the split went to gpu 0.97 (5
+rebalances, `split.fanout_ms` 6.0); without full-only rates it
+rebalanced 6 times, some of them inside incremental ops; without
+pre-loss readmission it rebalanced 50 times, since every readmission
+reset the split to uniform.  Each of the three rules alone, at an
+earlier parent, had failed a tail bound as well (DESIGN choice 19).
+
+Other workloads, whose code is unchanged apart from one helper call in
+the scaled evaluation path:
+
+| workload | metric | parent | change | wins |
+|---|---|---:|---:|---:|
+| eval (10 pairs) | `mean_ms.a` / `.b` / `.c` | 13.72 / 20.42 / 22.08 | 13.61 / 20.50 / 22.36 | 4, 3, 4 |
+| eval (10 pairs) | `tail_ratio.a` / `.b` / `.c` | 1.134 / 1.118 / 1.118 | 1.079 / 1.072 / 1.094 | 5, 5, 5 |
+| mcmc (5 pairs) | `mean_ms.a` / `.b` / `.c` | 2.183 / 12.76 / 14.06 | 2.113 / 12.69 / 13.96 | 5, 3, 4 |
+| mcmc (5 pairs) | `tail_ratio.a` / `.b` / `.c` | 1.343 / 1.111 / 1.105 | 1.341 / 1.053 / 1.041 | 4, 4, 3 |
+| serve (5 pairs) | `mean_ms.a` / `.b` / `.c` | 7.11 / 6.86 / 15.69 | 6.85 / 6.70 / 15.01 | 2, 2, 3 |
+| serve (5 pairs) | `tail_ratio.a` / `.b` / `.c` | 1.170 / 1.165 / 1.221 | 1.169 / 1.176 / 1.223 | 4, 1, 4 |
+
+All alternated the side that ran first.  `peak_rss_mb` and
+`rate_per_s` moved by at most 2.1% and `setup_s` by at most 3.7% on
+each of the three, and every run passed its checks.  The first five eval pairs read `mean_ms.a` 12.94 → 13.54
+(1/5); the next five, 13.97 → 13.78 (3/5).
+
 ## Regenerated tables
 
 Regenerate at any time with `pybeagle-experiments` or
